@@ -198,9 +198,9 @@ def c_ad1_search(eta: float, tol: float = 1e-9) -> OptimResult:
     """
     eta = _check_eta(eta)
 
-    def gain(p: float) -> float:
-        root = math.sqrt(max(0.0, 1.0 - 4.0 * eta * (1.0 - eta) * p * p))
-        return float(h2(eta * p)) - float(h2(0.5 * (1.0 + root)))
+    def gain(p):
+        root = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * eta * (1.0 - eta) * p * p))
+        return h2(eta * p) - h2(0.5 * (1.0 + root))
 
     return maximize_1d(gain, 0.0, 1.0, tol=tol)
 

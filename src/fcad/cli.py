@@ -2,7 +2,7 @@
 and the numerical verification suites.
 
 Exit codes: 0 all good, 1 a verification check failed, 2 configuration
-or I/O error.
+or I/O error, including settings the library rejects with ValueError.
 """
 
 from __future__ import annotations
@@ -70,10 +70,6 @@ class SweepConfig:
             )
         if self.eta_step <= 0.0:
             raise InvalidConfigError(f"eta-step must be positive, got {self.eta_step}")
-        if not 0.0 < self.coarse_step <= 0.5:
-            raise InvalidConfigError(f"coarse-step must be in (0, 0.5], got {self.coarse_step}")
-        if self.refine_tol <= 0.0:
-            raise InvalidConfigError(f"refine-tol must be positive, got {self.refine_tol}")
         if self.seed < 0:
             raise InvalidConfigError(f"seed must be nonnegative, got {self.seed}")
         bad = [q for q in self.quantities if q not in QUANTITIES]
@@ -222,42 +218,38 @@ def cmd_point(args: argparse.Namespace) -> int:
         raise InvalidConfigError(f"eta must be in [0, 1], got {eta}")
     coarse = args.coarse_step if args.coarse_step is not None else 1e-2
     refine = args.refine_tol if args.refine_tol is not None else 1e-7
-    print(f"eta = {_fmt(eta)}")
-    print(f"quantity = {args.quantity}")
+    # printed only once every value is in, so a rejected setting prints no partial report
+    lines = [f"eta = {_fmt(eta)}", f"quantity = {args.quantity}"]
     if args.quantity == "c1":
         closed = capacities.c1(eta)
         opt = capacities.c1_via_optimization(eta, coarse, refine)
-        print(f"value = {_fmt(closed.value)}")
-        print(f"optimized = {_fmt(opt.value)}")
-        _print_point(opt)
+        lines += [f"value = {_fmt(closed.value)}", f"optimized = {_fmt(opt.value)}", *_point_lines(opt)]
     elif args.quantity == "q":
         res = capacities.q_capacity(eta, coarse, refine)
-        print(f"value = {_fmt(res.value)}")
-        _print_point(res)
+        lines += [f"value = {_fmt(res.value)}", *_point_lines(res)]
     elif args.quantity == "ce":
         res = capacities.ce_capacity(eta, coarse, refine)
-        print(f"value = {_fmt(res.value)}")
-        _print_point(res)
+        lines += [f"value = {_fmt(res.value)}", *_point_lines(res)]
     elif args.quantity == "bounds":
         lb1, lb2 = capacities.c1_lower_bounds(eta, coarse, refine)
-        print(f"chi_lb1 = {_fmt(lb1)}")
-        print(f"chi_lb2 = {_fmt(lb2)}")
+        lines += [f"chi_lb1 = {_fmt(lb1)}", f"chi_lb2 = {_fmt(lb2)}"]
     elif args.quantity == "p_opt":
-        print(f"value = {_fmt(capacities.p_opt(eta))}")
+        lines.append(f"value = {_fmt(capacities.p_opt(eta))}")
     elif args.quantity == "c_ad1":
         res = capacities.c_ad1_search(eta)
-        print(f"value = {_fmt(res.value)}")
-        print(f"p1 = {_fmt(res.point)}")
-        print(f"evaluations = {res.evaluations}")
+        lines += [f"value = {_fmt(res.value)}", f"p1 = {_fmt(res.point)}", f"evaluations = {res.evaluations}"]
+    print("\n".join(lines))
     return 0
 
 
-def _print_point(res: capacities.CapacityResult) -> None:
-    print(f"alpha = {_fmt(res.point.alpha)}")
-    print(f"beta = {_fmt(res.point.beta)}")
-    print(f"delta = {_fmt(res.point.delta)}")
-    print(f"evaluations = {res.evaluations}")
-    print(f"final_step = {_fmt(res.grid_step_final)}")
+def _point_lines(res: capacities.CapacityResult) -> list[str]:
+    return [
+        f"alpha = {_fmt(res.point.alpha)}",
+        f"beta = {_fmt(res.point.beta)}",
+        f"delta = {_fmt(res.point.delta)}",
+        f"evaluations = {res.evaluations}",
+        f"final_step = {_fmt(res.grid_step_final)}",
+    ]
 
 
 def _emit(name: str, passed: bool, margin: float) -> bool:
@@ -268,6 +260,8 @@ def _emit(name: str, passed: bool, margin: float) -> bool:
 def cmd_verify(args: argparse.Namespace) -> int:
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
     seed = args.seed if args.seed is not None else 0
+    if args.samples is not None and args.samples < 1:
+        raise InvalidConfigError(f"samples must be at least 1, got {args.samples}")
     ok = True
 
     if "covariance" in suites:
@@ -364,7 +358,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidConfigError as exc:
+    except ValueError as exc:  # InvalidConfigError, or library argument checks
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -47,7 +47,8 @@ def xlog2(x):
 def h2(x):
     """Shannon binary entropy in bits; accepts scalars or arrays in [0, 1]."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < -PROB_TOL) or np.any(arr > 1.0 + PROB_TOL):
+    # written so that NaN fails it too; xlog2 would otherwise mask NaN to 0
+    if not np.all((arr >= -PROB_TOL) & (arr <= 1.0 + PROB_TOL)):
         raise DomainError("binary entropy argument outside [0, 1]")
     arr = np.clip(arr, 0.0, 1.0)
     return -xlog2(arr) - xlog2(1.0 - arr)

@@ -26,6 +26,9 @@ __all__ = [
 SIMPLEX_TOL = 1e-12
 _INV_PHI = (sqrt(5.0) - 1.0) / 2.0
 _MAX_MOVES_PER_LEVEL = 10_000
+_SCAN_BLOCK = 1 << 16
+# (di, dj) offsets of the refine stencil, centre excluded, in scan order
+_STENCIL = np.array([(i, j) for i in range(-2, 3) for j in range(-2, 3) if (i, j) != (0, 0)], dtype=float).T
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,43 @@ class OptimResult:
     grid_step_final: float
 
 
+def _pointwise(objective):
+    """Array form of a scalar objective, for callers without a vectorized one."""
+
+    def grid_objective(alphas, deltas):
+        return np.array(
+            [objective(SimplexPoint.from_alpha_delta(a, d)) for a, d in zip(alphas.tolist(), deltas.tolist())]
+        )
+
+    return grid_objective
+
+
+def _scan_triangle(grid_objective, step: float) -> tuple[float, float, float, int]:
+    """Best point of the flat (alpha, delta) grid, as (value, alpha, delta, evaluations).
+
+    Points are visited row-major (alpha, then delta), a block of whole rows
+    of at most about ``_SCAN_BLOCK`` points per ``grid_objective`` call;
+    ties keep the first point.
+    """
+    n = int(round(1.0 / step))
+    if n * step > 1.0 + SIMPLEX_TOL:  # a step that does not divide 1 would overshoot the simplex
+        n -= 1
+    rows_per_block = max(1, _SCAN_BLOCK // (n + 1))
+    evaluations = 0
+    best_value, best_a, best_d = -inf, 0.0, 0.0
+    for first in range(0, n + 1, rows_per_block):
+        i, j = np.mgrid[first : min(first + rows_per_block, n + 1), 0 : n - first + 1]
+        inside = i + j <= n
+        alphas = i[inside] * step
+        deltas = j[inside] * step
+        values = np.asarray(grid_objective(alphas, deltas), dtype=float)
+        evaluations += values.size
+        k = int(np.argmax(values))
+        if values[k] > best_value:
+            best_value, best_a, best_d = float(values[k]), float(alphas[k]), float(deltas[k])
+    return best_value, best_a, best_d, evaluations
+
+
 def maximize_simplex(
     objective,
     coarse_step: float = 1e-2,
@@ -70,69 +110,48 @@ def maximize_simplex(
 
     The coarse scan walks alpha, then delta, in ascending order; ties keep
     the first point found, which makes the search deterministic.  The local
-    stage hill-climbs on a 5x5 stencil and halves the step until it drops
-    below ``refine_tol``, so the reported value never falls under the
-    coarse optimum.  Boundary faces are evaluated directly, relying on the
-    objective treating 0 log 0 as 0.
+    stage is a steepest ascent on a 5x5 stencil: it moves to the best
+    feasible stencil point while that beats the centre, then halves the
+    step until it drops below ``refine_tol``, so the reported value never
+    falls under the coarse optimum.  Boundary faces are evaluated directly,
+    relying on the objective treating 0 log 0 as 0.
 
-    ``grid_objective``, when given, must be the same function vectorized
-    over (alpha, delta) numpy arrays; it only accelerates the coarse scan.
+    ``objective`` takes a :class:`SimplexPoint`.  ``grid_objective``, when
+    given, must be the same function vectorized over (alpha, delta) numpy
+    arrays; it then drives both the coarse scan and every stencil pass, and
+    ``objective`` is called once, to score the returned point.  Without it
+    the scalar objective is evaluated point by point.
     """
-    n = int(round(1.0 / coarse_step))
-    evaluations = 0
-    best_value = -inf
-    best_a = best_d = 0.0
+    if not 0.0 < coarse_step <= 0.5:
+        raise ValueError(f"coarse_step must be in (0, 0.5], got {coarse_step}")
+    if not refine_tol > 0.0:
+        raise ValueError(f"refine_tol must be positive, got {refine_tol}")
+    if grid_objective is None:
+        grid_objective = _pointwise(objective)
 
-    if grid_objective is not None:
-        for i in range(n + 1):
-            a = i * coarse_step
-            deltas = np.arange(n - i + 1, dtype=float) * coarse_step
-            values = np.asarray(grid_objective(a, deltas), dtype=float)
-            evaluations += values.size
-            j = int(np.argmax(values))
-            if values[j] > best_value:
-                best_value = float(values[j])
-                best_a, best_d = a, float(deltas[j])
-    else:
-        for i in range(n + 1):
-            a = i * coarse_step
-            for j in range(n - i + 1):
-                d = j * coarse_step
-                value = objective(SimplexPoint.from_alpha_delta(a, d))
-                evaluations += 1
-                if value > best_value:
-                    best_value = value
-                    best_a, best_d = a, d
+    best_value, best_a, best_d, evaluations = _scan_triangle(grid_objective, coarse_step)
 
+    # With h <= coarse_step / 2 <= 1/4 every point of the triangle keeps at
+    # least one feasible stencil neighbour, so no pass is empty.
     step = coarse_step
     h = coarse_step / 2.0
     while h >= refine_tol:
         step = h
-        moves = 0
-        improved = True
-        while improved and moves < _MAX_MOVES_PER_LEVEL:
-            improved = False
-            for di in range(-2, 3):
-                for dj in range(-2, 3):
-                    if di == 0 and dj == 0:
-                        continue
-                    a = best_a + di * h
-                    d = best_d + dj * h
-                    if a < 0.0 or d < 0.0 or a + d > 1.0 + SIMPLEX_TOL:
-                        continue
-                    value = objective(SimplexPoint.from_alpha_delta(a, d))
-                    evaluations += 1
-                    if value > best_value:
-                        best_value = value
-                        best_a, best_d = a, d
-                        improved = True
-                        moves += 1
+        for _ in range(_MAX_MOVES_PER_LEVEL):
+            a = best_a + _STENCIL[0] * h
+            d = best_d + _STENCIL[1] * h
+            feasible = (a >= 0.0) & (d >= 0.0) & (a + d <= 1.0 + SIMPLEX_TOL)
+            a, d = a[feasible], d[feasible]
+            values = np.asarray(grid_objective(a, d), dtype=float)
+            evaluations += values.size
+            k = int(np.argmax(values))
+            if not values[k] > best_value:
+                break
+            best_value, best_a, best_d = float(values[k]), float(a[k]), float(d[k])
         h /= 2.0
 
     point = SimplexPoint.from_alpha_delta(best_a, best_d)
-    if grid_objective is not None:
-        best_value = float(objective(point))
-    return OptimResult(best_value, point, evaluations, step)
+    return OptimResult(float(objective(point)), point, evaluations, step)
 
 
 def scan_simplex(grid_objective, step: float) -> OptimResult:
@@ -140,20 +159,8 @@ def scan_simplex(grid_objective, step: float) -> OptimResult:
 
     ``grid_objective(alpha, delta)`` must broadcast over numpy arrays.
     """
-    n = int(round(1.0 / step))
-    evaluations = 0
-    best_value = -inf
-    best_a = best_d = 0.0
-    for i in range(n + 1):
-        a = i * step
-        deltas = np.arange(n - i + 1, dtype=float) * step
-        values = np.asarray(grid_objective(a, deltas), dtype=float)
-        evaluations += values.size
-        j = int(np.argmax(values))
-        if values[j] > best_value:
-            best_value = float(values[j])
-            best_a, best_d = a, float(deltas[j])
-    return OptimResult(best_value, SimplexPoint.from_alpha_delta(best_a, best_d), evaluations, step)
+    value, a, d, evaluations = _scan_triangle(grid_objective, step)
+    return OptimResult(value, SimplexPoint.from_alpha_delta(a, d), evaluations, step)
 
 
 def maximize_1d(
@@ -164,6 +171,10 @@ def maximize_1d(
     Golden section assumes a unimodal objective; the grid pass protects
     the result when that assumption is off.  The better of the two
     candidates is returned (ties keep the golden-section point).
+
+    ``objective`` is called with a float during the golden-section search
+    and once with the 1-D array of all ``grid_points + 1`` grid abscissae,
+    so it must broadcast over numpy arrays.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -205,10 +216,10 @@ def maximize_1d(
             consider(d, fd)
 
     spacing = (hi - lo) / grid_points
-    for k in range(grid_points + 1):
-        x = lo + spacing * k
-        f = objective(x)
-        evaluations += 1
-        consider(x, f)
+    xs = lo + spacing * np.arange(grid_points + 1)
+    fs = np.asarray(objective(xs), dtype=float)
+    evaluations += fs.size
+    k = int(np.argmax(fs))
+    consider(float(xs[k]), float(fs[k]))
 
     return OptimResult(best_f, best_x, evaluations, min(b - a, spacing))

@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import pytest
 
 from fcad.cli import InvalidConfigError, SweepConfig, main
 
 LOG2_3 = math.log2(3.0)
+DATA = Path(__file__).parent / "data"
 
 
 def read_rows(path):
@@ -54,6 +56,29 @@ class TestSweep:
         assert main(args + [str(out1)]) == 0
         assert main(args + [str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_matches_pinned_table(self, tmp_path):
+        """The paper's 51-row table, pinned to a reference CSV at 1e-9."""
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--eta-step", "0.02", "--out", str(out)]) == 0
+        header, rows = read_rows(out)
+        ref_header, ref_rows = read_rows(DATA / "sweep_eta_step_0.02.csv")
+        assert header == ref_header
+        assert len(rows) == len(ref_rows) == 51
+        for row, ref in zip(rows, ref_rows):
+            for column in header:
+                assert abs(float(row[column]) - float(ref[column])) <= 1e-9, (ref["eta"], column)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--coarse-step", "0"], ["--coarse-step", "-0.1"], ["--coarse-step", "0.6"],
+         ["--refine-tol", "0"], ["--refine-tol", "nan"]],
+    )
+    def test_bad_optimizer_settings_are_config_errors(self, flags, capsys):
+        assert main(["sweep", "--eta-step", "0.5", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -119,6 +144,16 @@ class TestPoint:
     def test_bad_eta(self, capsys):
         assert main(["point", "--eta", "1.2", "--quantity", "c1"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--refine-tol", "0"], ["--coarse-step", "0"], ["--coarse-step", "-0.1"]],
+    )
+    def test_bad_optimizer_settings_are_config_errors(self, flags, capsys):
+        assert main(["point", "--eta", "0.7", "--quantity", "q", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
 
 class TestVerify:
     def test_composition_passes(self, capsys):
@@ -151,6 +186,13 @@ class TestVerify:
     def test_impossible_tolerance_fails(self, capsys):
         assert main(["verify", "composition", "--samples", "10", "--tol", "0"]) == 1
         assert "CHECK composition FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suite", ["covariance", "degradability", "inequalities", "symmetrization", "all"])
+    def test_no_samples_is_config_error(self, suite, capsys):
+        assert main(["verify", suite, "--samples", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "CHECK" not in captured.out
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -47,6 +47,12 @@ class TestH2:
         with pytest.raises(DomainError):
             h2(-0.1)
 
+    def test_rejects_nan(self):
+        with pytest.raises(DomainError):
+            h2(float("nan"))
+        with pytest.raises(DomainError):
+            h2(np.array([0.5, np.nan]))
+
     def test_array_input(self):
         np.testing.assert_allclose(h2(np.array([0.0, 0.5, 1.0])), [0.0, 1.0, 0.0])
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fcad.capacities import chi_b_value, q_value
 from fcad.entropy import h2, xlog2
+from fcad import optimizer
 from fcad.optimizer import SimplexPoint, maximize_1d, maximize_simplex, scan_simplex
 
 LOG2_3 = math.log2(3.0)
@@ -83,6 +84,62 @@ class TestMaximizeSimplex:
         result = maximize_simplex(objective)
         assert abs(result.value - objective(result.point)) < 1e-12
 
+    def test_scalar_objective_only_scores_the_result(self):
+        eta = 0.44
+        calls = []
+
+        def objective(pt):
+            calls.append(pt)
+            return float(chi_b_value(pt.alpha, pt.delta, eta))
+
+        result = maximize_simplex(objective, grid_objective=lambda a, d: chi_b_value(a, d, eta))
+        assert calls == [result.point]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"coarse_step": 0.0},
+            {"coarse_step": -0.1},
+            {"coarse_step": 0.6},
+            {"coarse_step": math.nan},
+            {"refine_tol": 0.0},
+            {"refine_tol": -1e-7},
+            {"refine_tol": math.nan},
+        ],
+    )
+    def test_rejects_bad_settings_before_evaluating(self, bad):
+        def never(*args):
+            raise AssertionError("objective called")
+
+        with pytest.raises(ValueError):
+            maximize_simplex(never, grid_objective=never, **bad)
+
+    @pytest.mark.parametrize("block", [1 << 16, 7])
+    def test_flat_scan_visits_the_triangle_row_major(self, block, monkeypatch):
+        monkeypatch.setattr(optimizer, "_SCAN_BLOCK", block)
+        seen = []
+
+        def grid_objective(a, d):
+            seen.extend(zip(a.tolist(), d.tolist()))
+            return np.zeros(a.size)
+
+        result = scan_simplex(grid_objective, step=0.1)
+        assert seen == [(i * 0.1, j * 0.1) for i in range(11) for j in range(11 - i)]
+        assert result.evaluations == len(seen) == 66
+        assert (result.point.alpha, result.point.delta) == (0.0, 0.0)
+
+    def test_coarse_grid_stays_inside_the_simplex(self):
+        """1/0.34 rounds up to 3, and 3 x 0.34 would leave the triangle."""
+        seen = []
+
+        def grid_objective(a, d):
+            seen.extend((a + d).tolist())
+            return a + d
+
+        result = maximize_simplex(lambda pt: pt.alpha + pt.delta, coarse_step=0.34, grid_objective=grid_objective)
+        assert max(seen) <= 1.0 + 1e-12
+        assert result.value == pytest.approx(1.0, abs=1e-6)
+
     def test_agrees_with_flat_grid_oracle(self):
         """Coarse-and-refine matches the exhaustive 1e-4 grid in value."""
         rng = np.random.default_rng(2024)
@@ -99,21 +156,21 @@ class TestMaximizeSimplex:
 
 class TestMaximize1d:
     def test_binary_entropy(self):
-        result = maximize_1d(lambda p: float(h2(p)), 0.0, 1.0)
+        result = maximize_1d(h2, 0.0, 1.0)
         assert abs(result.value - 1.0) < 1e-12
         assert abs(result.point - 0.5) < 1e-6
 
     def test_noiseless_damping_gain(self):
-        gain = lambda p: float(h2(p)) - float(h2(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - 0.0 * p * p)))))
+        gain = lambda p: h2(p) - h2(0.5 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 0.0 * p * p))))
         result = maximize_1d(gain, 0.0, 1.0)
         assert abs(result.value - 1.0) < 1e-12
 
     def test_grid_cross_check_agreement(self):
         eta = 0.75
 
-        def gain(p: float) -> float:
-            root = math.sqrt(max(0.0, 1.0 - 4.0 * eta * (1.0 - eta) * p * p))
-            return float(h2(eta * p)) - float(h2(0.5 * (1.0 + root)))
+        def gain(p):
+            root = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * eta * (1.0 - eta) * p * p))
+            return h2(eta * p) - h2(0.5 * (1.0 + root))
 
         golden = maximize_1d(gain, 0.0, 1.0)
         fine_grid = max(gain(k / 100000.0) for k in range(100001))
@@ -130,6 +187,6 @@ class TestMaximize1d:
             maximize_1d(lambda x: x, 1.0, 0.0)
 
     def test_determinism(self):
-        result_a = maximize_1d(lambda p: float(h2(p)), 0.0, 1.0)
-        result_b = maximize_1d(lambda p: float(h2(p)), 0.0, 1.0)
+        result_a = maximize_1d(h2, 0.0, 1.0)
+        result_b = maximize_1d(h2, 0.0, 1.0)
         assert result_a == result_b
