@@ -2,7 +2,6 @@
 
 from .capacities import (
     CapacityPoint,
-    CapacityResult,
     InequalityReport,
     SymmetrizationReport,
     ZeroSubspaceWeightError,
@@ -13,15 +12,11 @@ from .capacities import (
     c_ad1_search,
     capacity_point,
     ce_capacity,
-    ce_objective,
-    chi_ensemble_A,
-    chi_ensemble_B,
     ensemble_a,
     ensemble_b,
     entanglement_B,
     p_opt,
     q_capacity,
-    q_objective,
     verify_entangled_pair_inequality,
     verify_state_splitting_inequality,
     verify_symmetrization_chain,
@@ -32,14 +27,11 @@ from .channels import (
     ad_channel,
     apply,
     check_composition,
-    choi_matrix,
     complementary_output,
     compose,
     degrading_map,
     fc_channel,
     identity_channel,
-    memory_channel,
-    tensor,
 )
 from .covariance import (
     SymmetryOp,

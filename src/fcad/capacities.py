@@ -27,7 +27,6 @@ from .qmat import basis_state, random_pure
 
 __all__ = [
     "CapacityPoint",
-    "CapacityResult",
     "InequalityReport",
     "SymmetrizationReport",
     "ZeroSubspaceWeightError",
@@ -38,19 +37,15 @@ __all__ = [
     "c_ad1_search",
     "capacity_point",
     "ce_capacity",
-    "ce_objective",
     "ce_value",
     "chi_a_value",
     "chi_b_value",
-    "chi_ensemble_A",
-    "chi_ensemble_B",
     "ensemble_a",
     "ensemble_b",
     "entanglement_B",
     "output_entropy_diag",
     "p_opt",
     "q_capacity",
-    "q_objective",
     "q_value",
     "verify_entangled_pair_inequality",
     "verify_state_splitting_inequality",
@@ -111,22 +106,6 @@ def ce_value(alpha, delta, eta):
     return input_entropy + q_value(alpha, delta, eta)
 
 
-def chi_ensemble_A(pt: SimplexPoint, eta: float) -> float:
-    return float(chi_a_value(pt.alpha, pt.delta, _check_eta(eta)))
-
-
-def chi_ensemble_B(pt: SimplexPoint, eta: float) -> float:
-    return float(chi_b_value(pt.alpha, pt.delta, _check_eta(eta)))
-
-
-def q_objective(pt: SimplexPoint, eta: float) -> float:
-    return float(q_value(pt.alpha, pt.delta, _check_eta(eta)))
-
-
-def ce_objective(pt: SimplexPoint, eta: float) -> float:
-    return float(ce_value(pt.alpha, pt.delta, _check_eta(eta)))
-
-
 # ---------------------------------------------------------------------------
 # explicit ensembles behind the classical bounds
 # ---------------------------------------------------------------------------
@@ -179,15 +158,14 @@ def entanglement_B(pt: SimplexPoint) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CapacityResult:
-    """A capacity value at one transmissivity with its maximizing populations."""
-
-    eta: float
-    value: float
-    point: SimplexPoint
-    evaluations: int = 0
-    grid_step_final: float = 0.0
+def _maximize(value, eta: float, coarse_step: float, refine_tol: float) -> OptimResult:
+    """Maximize ``value(alpha, delta, eta)`` over the diagonal input simplex."""
+    return maximize_simplex(
+        lambda pt: float(value(pt.alpha, pt.delta, eta)),
+        coarse_step,
+        refine_tol,
+        grid_objective=lambda a, d: value(a, d, eta),
+    )
 
 
 def c_ad1_search(eta: float, tol: float = 1e-9) -> OptimResult:
@@ -209,47 +187,43 @@ def c_ad1(eta: float) -> float:
     return c_ad1_search(eta).value
 
 
+def _p_opt(cad: float) -> float:
+    return 2.0**cad / (2.0 + 2.0**cad)
+
+
 def p_opt(eta: float) -> float:
     """Optimal weight of the damped block in the capacity-achieving ensemble."""
-    return 1.0 / (1.0 + 2.0 ** (1.0 - c_ad1(eta)))
+    return _p_opt(c_ad1(eta))
 
 
-def _c1_from_search(eta: float, search: OptimResult) -> CapacityResult:
+def _c1_from_search(search: OptimResult) -> OptimResult:
     cad = search.value
     p1 = float(search.point)
-    weight = 1.0 / (1.0 + 2.0 ** (1.0 - cad))
-    value = 1.0 + float(h2(weight)) - weight * (1.0 - cad)
+    weight = _p_opt(cad)
     point = SimplexPoint(weight * (1.0 - p1), 0.5 * (1.0 - weight), weight * p1)
-    return CapacityResult(eta, value, point, search.evaluations, search.grid_step_final)
+    return OptimResult(math.log2(2.0 + 2.0**cad), point, search.evaluations, search.grid_step_final)
 
 
-def c1(eta: float) -> CapacityResult:
-    """Single-shot classical capacity, via the two-parallel-subspace formula.
+def c1(eta: float) -> OptimResult:
+    """Single-shot classical capacity, in closed form.
 
-    The channel splits into a noiseless qubit on span{|01>, |10>} and a
-    one-qubit amplitude damping on span{|00>, |11>}; weighting the blocks
-    optimally gives 1 + H2(w) - w (1 - C_ad1) at w = 1/(1 + 2^(1-C_ad1)).
+    The channel is the direct sum of a noiseless qubit on span{|01>, |10>}
+    and a one-qubit amplitude damping on span{|00>, |11>}, so
+    C1 = log2(2 + 2^C_ad1), reached with weight 2^C_ad1 / (2 + 2^C_ad1) on
+    the damped block.
     """
-    eta = _check_eta(eta)
-    return _c1_from_search(eta, c_ad1_search(eta))
+    return _c1_from_search(c_ad1_search(eta))
 
 
 def c1_via_optimization(
     eta: float, coarse_step: float = 1e-2, refine_tol: float = 1e-7
-) -> CapacityResult:
+) -> OptimResult:
     """Single-shot classical capacity by direct maximization over populations.
 
     At eta = 0 the maximizer is degenerate (only alpha + delta = 1/3 is
     pinned down); the first point found in scan order is reported.
     """
-    eta = _check_eta(eta)
-    result = maximize_simplex(
-        lambda pt: float(chi_b_value(pt.alpha, pt.delta, eta)),
-        coarse_step,
-        refine_tol,
-        grid_objective=lambda a, d: chi_b_value(a, d, eta),
-    )
-    return CapacityResult(eta, result.value, result.point, result.evaluations, result.grid_step_final)
+    return _maximize(chi_b_value, _check_eta(eta), coarse_step, refine_tol)
 
 
 def c1_lower_bounds(
@@ -257,19 +231,15 @@ def c1_lower_bounds(
 ) -> tuple[float, float]:
     """Best Holevo quantities of the product and entangled ensembles."""
     eta = _check_eta(eta)
-    lb1 = maximize_simplex(
-        lambda pt: float(chi_a_value(pt.alpha, pt.delta, eta)),
-        coarse_step,
-        refine_tol,
-        grid_objective=lambda a, d: chi_a_value(a, d, eta),
-    ).value
-    lb2 = c1_via_optimization(eta, coarse_step, refine_tol).value
-    return lb1, lb2
+    return (
+        _maximize(chi_a_value, eta, coarse_step, refine_tol).value,
+        _maximize(chi_b_value, eta, coarse_step, refine_tol).value,
+    )
 
 
 def q_capacity(
     eta: float, coarse_step: float = 1e-2, refine_tol: float = 1e-7
-) -> CapacityResult:
+) -> OptimResult:
     """Quantum capacity.
 
     For eta >= 1/2 the channel is degradable and the capacity is the
@@ -279,28 +249,15 @@ def q_capacity(
     """
     eta = _check_eta(eta)
     if eta < 0.5:
-        return CapacityResult(eta, LOG2_3, SimplexPoint(1.0 / 3.0, 1.0 / 3.0, 0.0))
-    result = maximize_simplex(
-        lambda pt: float(q_value(pt.alpha, pt.delta, eta)),
-        coarse_step,
-        refine_tol,
-        grid_objective=lambda a, d: q_value(a, d, eta),
-    )
-    return CapacityResult(eta, result.value, result.point, result.evaluations, result.grid_step_final)
+        return OptimResult(LOG2_3, SimplexPoint(1.0 / 3.0, 1.0 / 3.0, 0.0), 0, 0.0)
+    return _maximize(q_value, eta, coarse_step, refine_tol)
 
 
 def ce_capacity(
     eta: float, coarse_step: float = 1e-2, refine_tol: float = 1e-7
-) -> CapacityResult:
+) -> OptimResult:
     """Entanglement-assisted classical capacity: max quantum mutual information."""
-    eta = _check_eta(eta)
-    result = maximize_simplex(
-        lambda pt: float(ce_value(pt.alpha, pt.delta, eta)),
-        coarse_step,
-        refine_tol,
-        grid_objective=lambda a, d: ce_value(a, d, eta),
-    )
-    return CapacityResult(eta, result.value, result.point, result.evaluations, result.grid_step_final)
+    return _maximize(ce_value, _check_eta(eta), coarse_step, refine_tol)
 
 
 @dataclass(frozen=True)
@@ -313,7 +270,6 @@ class CapacityPoint:
     q: float
     ce: float
     chi_lb1: float
-    chi_lb2: float
     coeffs_c1: SimplexPoint
     coeffs_q: SimplexPoint
     coeffs_ce: SimplexPoint
@@ -330,6 +286,11 @@ class CapacityPoint:
         if self.q > self.ce + 1e-9 or self.c1 > self.ce + 1e-9:
             raise ValueError("capacity ordering q, c1 <= ce violated")
 
+    @property
+    def chi_lb2(self) -> float:
+        """Best entangled-ensemble Holevo quantity: the C1 optimization itself."""
+        return self.c1_opt
+
 
 def capacity_point(
     eta: float, coarse_step: float = 1e-2, refine_tol: float = 1e-7
@@ -337,30 +298,22 @@ def capacity_point(
     """All sweep quantities at one transmissivity, computed in one pass."""
     eta = _check_eta(eta)
     search = c_ad1_search(eta)
-    closed = _c1_from_search(eta, search)
-    popt = 1.0 / (1.0 + 2.0 ** (1.0 - search.value))
     opt = c1_via_optimization(eta, coarse_step, refine_tol)
-    lb1 = maximize_simplex(
-        lambda pt: float(chi_a_value(pt.alpha, pt.delta, eta)),
-        coarse_step,
-        refine_tol,
-        grid_objective=lambda a, d: chi_a_value(a, d, eta),
-    ).value
+    lb1 = _maximize(chi_a_value, eta, coarse_step, refine_tol).value
     qr = q_capacity(eta, coarse_step, refine_tol)
     cer = ce_capacity(eta, coarse_step, refine_tol)
     e_phi, e_avg = entanglement_B(opt.point)
     return CapacityPoint(
         eta=eta,
-        c1=closed.value,
+        c1=_c1_from_search(search).value,
         c1_opt=opt.value,
         q=qr.value,
         ce=cer.value,
         chi_lb1=lb1,
-        chi_lb2=opt.value,
         coeffs_c1=opt.point,
         coeffs_q=qr.point,
         coeffs_ce=cer.point,
-        p_opt=popt,
+        p_opt=_p_opt(search.value),
         c_ad1=search.value,
         e_phi=e_phi,
         e_avg=e_avg,

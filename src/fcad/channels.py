@@ -1,4 +1,4 @@
-"""Kraus-operator channels: memoryless and correlated amplitude damping.
+"""Kraus-operator channels: one-qubit and fully correlated amplitude damping.
 
 The central object is the fully correlated two-qubit damping channel,
 where relaxation only ever happens on both qubits at once: the basis
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import DimensionMismatchError, dag, kron, max_abs_diff, random_density
+from .qmat import DimensionMismatchError, dag, max_abs_diff, random_density
 
 __all__ = [
     "EtaOutOfRangeError",
@@ -20,14 +20,11 @@ __all__ = [
     "ad_channel",
     "apply",
     "check_composition",
-    "choi_matrix",
     "complementary_output",
     "compose",
     "degrading_map",
     "fc_channel",
     "identity_channel",
-    "memory_channel",
-    "tensor",
 ]
 
 COMPLETENESS_TOL = 1e-12
@@ -92,32 +89,6 @@ def fc_channel(eta: float) -> QuantumChannel:
     b1 = np.zeros((4, 4), dtype=complex)
     b1[0, 3] = np.sqrt(1.0 - eta)
     return QuantumChannel((b0, b1), 4, 4)
-
-
-def tensor(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
-    """Channel acting as ``a`` on the first factor and ``b`` on the second."""
-    ops = tuple(kron(ka, kb) for ka in a.kraus for kb in b.kraus)
-    return QuantumChannel(ops, a.dim_in * b.dim_in, a.dim_out * b.dim_out)
-
-
-def memory_channel(eta: float, mu: float) -> QuantumChannel:
-    """Partial-memory damping: two independent dampings with weight 1 - mu
-    plus the fully correlated damping with weight mu.
-
-    Realized as the weighted union of the two Kraus sets, which makes the
-    completeness relation automatic.
-    """
-    eta = _check_eta(eta)
-    mu = float(mu)
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"memory weight must be in [0, 1], got {mu}")
-    ops: list[np.ndarray] = []
-    if mu < 1.0:
-        uncorrelated = tensor(ad_channel(eta), ad_channel(eta))
-        ops.extend(np.sqrt(1.0 - mu) * k for k in uncorrelated.kraus)
-    if mu > 0.0:
-        ops.extend(np.sqrt(mu) * k for k in fc_channel(eta).kraus)
-    return QuantumChannel(tuple(ops), 4, 4)
 
 
 def apply(ch: QuantumChannel, rho) -> np.ndarray:
@@ -213,21 +184,7 @@ def degrading_map(eta: float) -> QuantumChannel:
     return compose(fc_channel((1.0 - eta) / eta), _corner_collapse_channel())
 
 
-def choi_matrix(ch: QuantumChannel) -> np.ndarray:
-    """Choi state: channel applied to one half of a maximally entangled pair."""
-    d = ch.dim_in
-    omega = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        omega[i * d + i] = 1.0 / np.sqrt(d)
-    proj = np.outer(omega, omega.conj())
-    out = np.zeros((ch.dim_out * d, ch.dim_out * d), dtype=complex)
-    for k in ch.kraus:
-        m = kron(k, np.eye(d))
-        out += m @ proj @ dag(m)
-    return out
-
-
-def check_composition(n_samples: int = 100, seed: int = 0, tol: float = 1e-12) -> float:
+def check_composition(n_samples: int = 100, seed: int = 0) -> float:
     """Max deviation of fc(eta1*eta2) from fc(eta2) after fc(eta1) on random states."""
     worst = 0.0
     for i in range(n_samples):

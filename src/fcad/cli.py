@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import capacities, covariance
 from .channels import check_composition
+from .optimizer import OptimResult, check_settings
 
 __all__ = ["InvalidConfigError", "SweepConfig", "main"]
 
@@ -60,7 +61,6 @@ class SweepConfig:
     quantities: tuple[str, ...] = QUANTITIES
     coarse_step: float = 1e-2
     refine_tol: float = 1e-7
-    seed: int = 0
     output_path: str | None = None
 
     def validate(self) -> "SweepConfig":
@@ -70,8 +70,6 @@ class SweepConfig:
             )
         if self.eta_step <= 0.0:
             raise InvalidConfigError(f"eta-step must be positive, got {self.eta_step}")
-        if self.seed < 0:
-            raise InvalidConfigError(f"seed must be nonnegative, got {self.seed}")
         bad = [q for q in self.quantities if q not in QUANTITIES]
         if bad or not self.quantities:
             raise InvalidConfigError(
@@ -87,6 +85,18 @@ def _parse_quantities(text: str) -> tuple[str, ...]:
     return names
 
 
+# SweepConfig field -> parser of its text, shared by the config file and the flags
+_FIELDS = {
+    "eta_start": float,
+    "eta_end": float,
+    "eta_step": float,
+    "quantities": _parse_quantities,
+    "coarse_step": float,
+    "refine_tol": float,
+    "output_path": str,
+}
+
+
 def _load_config_file(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text()
@@ -100,53 +110,23 @@ def _load_config_file(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise InvalidConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        out[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        key = "output_path" if key == "out" else key
+        if key not in _FIELDS:
+            raise InvalidConfigError(f"unknown config key {key!r}")
+        out[key] = value.strip()
     return out
 
 
 def _sweep_config(args: argparse.Namespace) -> SweepConfig:
-    cfg = SweepConfig()
-    if args.config is not None:
-        raw = _load_config_file(args.config)
-        known = {f.name for f in fields(SweepConfig)} | {"out"}
-        for key, value in raw.items():
-            if key not in known:
-                raise InvalidConfigError(f"unknown config key {key!r}")
-        try:
-            updates: dict = {}
-            for key in ("eta_start", "eta_end", "eta_step", "coarse_step", "refine_tol"):
-                if key in raw:
-                    updates[key] = float(raw[key])
-            if "seed" in raw:
-                updates["seed"] = int(raw["seed"])
-            if "quantities" in raw:
-                updates["quantities"] = _parse_quantities(raw["quantities"])
-            if "out" in raw:
-                updates["output_path"] = raw["out"]
-            if "output_path" in raw:
-                updates["output_path"] = raw["output_path"]
-            cfg = replace(cfg, **updates)
-        except ValueError as exc:
-            raise InvalidConfigError(f"bad value in config file: {exc}") from exc
+    raw = _load_config_file(args.config) if args.config is not None else {}
     # flags win over the config file
-    overrides: dict = {}
-    if args.eta_start is not None:
-        overrides["eta_start"] = args.eta_start
-    if args.eta_end is not None:
-        overrides["eta_end"] = args.eta_end
-    if args.eta_step is not None:
-        overrides["eta_step"] = args.eta_step
-    if args.coarse_step is not None:
-        overrides["coarse_step"] = args.coarse_step
-    if args.refine_tol is not None:
-        overrides["refine_tol"] = args.refine_tol
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.quantities is not None:
-        overrides["quantities"] = _parse_quantities(args.quantities)
-    if args.out is not None:
-        overrides["output_path"] = args.out
-    return replace(cfg, **overrides).validate()
+    raw.update({key: getattr(args, key) for key in _FIELDS if getattr(args, key) is not None})
+    try:
+        values = {key: _FIELDS[key](text) for key, text in raw.items()}
+    except ValueError as exc:
+        raise InvalidConfigError(f"bad value in config file: {exc}") from exc
+    return SweepConfig(**values).validate()
 
 
 def _fmt(value: float) -> str:
@@ -176,7 +156,7 @@ def _row_values(pt: capacities.CapacityPoint) -> dict[str, float]:
         "q": pt.q,
         "ce": pt.ce,
         "chi_lb1": pt.chi_lb1,
-        "chi_lb2": pt.chi_lb2,
+        "chi_lb2": pt.c1_opt,
         "alpha_c1": pt.coeffs_c1.alpha,
         "beta_c1": pt.coeffs_c1.beta,
         "delta_c1": pt.coeffs_c1.delta,
@@ -218,6 +198,7 @@ def cmd_point(args: argparse.Namespace) -> int:
         raise InvalidConfigError(f"eta must be in [0, 1], got {eta}")
     coarse = args.coarse_step if args.coarse_step is not None else 1e-2
     refine = args.refine_tol if args.refine_tol is not None else 1e-7
+    check_settings(coarse, refine)
     # printed only once every value is in, so a rejected setting prints no partial report
     lines = [f"eta = {_fmt(eta)}", f"quantity = {args.quantity}"]
     if args.quantity == "c1":
@@ -242,7 +223,7 @@ def cmd_point(args: argparse.Namespace) -> int:
     return 0
 
 
-def _point_lines(res: capacities.CapacityResult) -> list[str]:
+def _point_lines(res: OptimResult) -> list[str]:
     return [
         f"alpha = {_fmt(res.point.alpha)}",
         f"beta = {_fmt(res.point.beta)}",
@@ -269,7 +250,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         tol = args.tol if args.tol is not None else 1e-12
         for op in covariance.symmetry_ops():
             dev = max(
-                covariance.check_covariance(eta, op, samples, seed, tol)
+                covariance.check_covariance(eta, op, samples, seed)
                 for eta in np.linspace(0.0, 1.0, 11)
             )
             ok &= _emit(f"covariance_{op.name}", dev < tol, dev)
@@ -282,7 +263,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         samples = args.samples if args.samples is not None else 100
         tol = args.tol if args.tol is not None else 1e-12
         dev = max(
-            covariance.check_degradability(eta, samples, seed, tol)
+            covariance.check_degradability(eta, samples, seed)
             for eta in np.arange(0.50, 1.0 + 1e-9, 0.05)
         )
         ok &= _emit("degradability", dev < tol, dev)
@@ -306,7 +287,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if "composition" in suites:
         samples = args.samples if args.samples is not None else 100
         tol = args.tol if args.tol is not None else 1e-12
-        dev = check_composition(samples, seed, tol)
+        dev = check_composition(samples, seed)
         ok &= _emit("composition", dev < tol, dev)
 
     return 0 if ok else 1
@@ -331,8 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--coarse-step", type=float, default=None)
     sweep.add_argument("--refine-tol", type=float, default=None)
-    sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--out", type=str, default=None, help="output CSV path (default: stdout)")
+    sweep.add_argument("--out", dest="output_path", type=str, default=None, help="output CSV path (default: stdout)")
     sweep.add_argument("--config", type=str, default=None, help="key = value config file; flags win")
     sweep.set_defaults(func=cmd_sweep)
 

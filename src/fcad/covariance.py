@@ -43,13 +43,8 @@ def symmetry_ops() -> tuple[SymmetryOp, ...]:
     )
 
 
-def check_covariance(
-    eta: float, op: SymmetryOp, n_samples: int = 100, seed: int = 0, tol: float = 1e-12
-) -> float:
-    """Max deviation of E(U rho U) from U E(rho) U over random mixed states.
-
-    Returns the deviation; the check passes when it is below ``tol``.
-    """
+def check_covariance(eta: float, op: SymmetryOp, n_samples: int = 100, seed: int = 0) -> float:
+    """Max deviation of E(U rho U) from U E(rho) U over random mixed states."""
     ch = fc_channel(eta)
     u = op.matrix
     worst = 0.0
@@ -59,13 +54,10 @@ def check_covariance(
     return worst
 
 
-def check_degradability(
-    eta: float, n_samples: int = 100, seed: int = 0, tol: float = 1e-12
-) -> float:
+def check_degradability(eta: float, n_samples: int = 100, seed: int = 0) -> float:
     """Max deviation of degrade(channel output) from the environment output.
 
-    Only defined for eta >= 1/2; returns the deviation, which passes when
-    below ``tol``.
+    Only defined for eta >= 1/2.
     """
     dmap = degrading_map(eta)
     ch = fc_channel(eta)

@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "OptimResult",
     "SimplexPoint",
+    "check_settings",
     "maximize_1d",
     "maximize_simplex",
     "scan_simplex",
@@ -100,6 +101,14 @@ def _scan_triangle(grid_objective, step: float) -> tuple[float, float, float, in
     return best_value, best_a, best_d, evaluations
 
 
+def check_settings(coarse_step: float, refine_tol: float) -> None:
+    """Reject simplex search settings that leave the simplex or never stop refining."""
+    if not 0.0 < coarse_step <= 0.5:
+        raise ValueError(f"coarse_step must be in (0, 0.5], got {coarse_step}")
+    if not refine_tol > 0.0:
+        raise ValueError(f"refine_tol must be positive, got {refine_tol}")
+
+
 def maximize_simplex(
     objective,
     coarse_step: float = 1e-2,
@@ -122,10 +131,7 @@ def maximize_simplex(
     ``objective`` is called once, to score the returned point.  Without it
     the scalar objective is evaluated point by point.
     """
-    if not 0.0 < coarse_step <= 0.5:
-        raise ValueError(f"coarse_step must be in (0, 0.5], got {coarse_step}")
-    if not refine_tol > 0.0:
-        raise ValueError(f"refine_tol must be positive, got {refine_tol}")
+    check_settings(coarse_step, refine_tol)
     if grid_objective is None:
         grid_objective = _pointwise(objective)
 

@@ -17,7 +17,6 @@ __all__ = [
     "dag",
     "density_eigenvalues",
     "hermitian_eigenvalues",
-    "is_hermitian",
     "kron",
     "max_abs_diff",
     "outer",
@@ -79,13 +78,6 @@ def max_abs_diff(a, b) -> float:
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.max(np.abs(a - b)))
-
-
-def is_hermitian(h, tol: float = HERMITIAN_TOL) -> bool:
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        return False
-    return max_abs_diff(h, dag(h)) <= tol
 
 
 def hermitian_eigenvalues(h, tol: float = HERMITIAN_TOL) -> np.ndarray:

@@ -13,15 +13,15 @@ from fcad.capacities import (
     c_ad1_search,
     capacity_point,
     ce_capacity,
-    ce_objective,
-    chi_ensemble_A,
-    chi_ensemble_B,
+    ce_value,
+    chi_a_value,
+    chi_b_value,
     ensemble_a,
     ensemble_b,
     entanglement_B,
     p_opt,
     q_capacity,
-    q_objective,
+    q_value,
     verify_entangled_pair_inequality,
     verify_state_splitting_inequality,
     verify_symmetrization_chain,
@@ -41,37 +41,37 @@ def random_simplex_point(rng) -> SimplexPoint:
 
 class TestEnsembleObjectives:
     def test_chi_a_noiseless_uniform(self):
-        assert abs(chi_ensemble_A(SimplexPoint(0.25, 0.25, 0.25), 1.0) - 2.0) < 1e-12
+        assert abs(chi_a_value(0.25, 0.25, 1.0) - 2.0) < 1e-12
 
     def test_chi_a_zero_transmissivity(self):
         pt = SimplexPoint(0.3, 0.2, 0.3)
         expected = vn_entropy(np.diag([0.6, 0.2, 0.2, 0.0]))
-        assert abs(chi_ensemble_A(pt, 0.0) - expected) < 1e-12
+        assert abs(chi_a_value(pt.alpha, pt.delta, 0.0) - expected) < 1e-12
 
     def test_chi_b_noiseless_uniform(self):
-        assert abs(chi_ensemble_B(SimplexPoint(0.25, 0.25, 0.25), 1.0) - 2.0) < 1e-12
+        assert abs(chi_b_value(0.25, 0.25, 1.0) - 2.0) < 1e-12
 
     def test_chi_b_no_damped_weight_reduces_to_chi_a(self):
         pt = SimplexPoint.from_alpha_delta(0.4, 0.0)
-        assert abs(chi_ensemble_B(pt, 0.5) - chi_ensemble_A(pt, 0.5)) < 1e-12
+        assert abs(chi_b_value(pt.alpha, pt.delta, 0.5) - chi_a_value(pt.alpha, pt.delta, 0.5)) < 1e-12
 
     def test_chi_a_matches_holevo_on_explicit_ensemble(self):
         for i in range(25):
             rng = np.random.default_rng(np.random.SeedSequence([71, i]))
             pt = random_simplex_point(rng)
             eta = float(rng.uniform())
-            assert abs(chi_ensemble_A(pt, eta) - holevo(fc_channel(eta), ensemble_a(pt))) < 1e-12
+            assert abs(chi_a_value(pt.alpha, pt.delta, eta) - holevo(fc_channel(eta), ensemble_a(pt))) < 1e-12
 
     def test_chi_b_matches_holevo_on_explicit_ensemble(self):
         for i in range(25):
             rng = np.random.default_rng(np.random.SeedSequence([73, i]))
             pt = random_simplex_point(rng)
             eta = float(rng.uniform())
-            assert abs(chi_ensemble_B(pt, eta) - holevo(fc_channel(eta), ensemble_b(pt))) < 1e-12
+            assert abs(chi_b_value(pt.alpha, pt.delta, eta) - holevo(fc_channel(eta), ensemble_b(pt))) < 1e-12
 
     def test_chi_b_uniform_point_value(self):
         pt = SimplexPoint(0.25, 0.25, 0.25)
-        assert abs(chi_ensemble_B(pt, 0.5) - holevo(fc_channel(0.5), ensemble_b(pt))) < 1e-12
+        assert abs(chi_b_value(pt.alpha, pt.delta, 0.5) - holevo(fc_channel(0.5), ensemble_b(pt))) < 1e-12
 
 
 class TestDiagonalFunctionals:
@@ -82,7 +82,7 @@ class TestDiagonalFunctionals:
             pt = random_simplex_point(rng)
             rho = np.diag([pt.alpha, pt.beta, pt.beta, pt.delta]).astype(complex)
             for eta in np.linspace(0.0, 1.0, 10):
-                assert abs(q_objective(pt, float(eta)) - coherent_info(float(eta), rho)) < 1e-10
+                assert abs(q_value(pt.alpha, pt.delta, float(eta)) - coherent_info(float(eta), rho)) < 1e-10
 
     def test_ce_objective_matches_mutual_info(self):
         for i in range(100):
@@ -90,21 +90,21 @@ class TestDiagonalFunctionals:
             pt = random_simplex_point(rng)
             rho = np.diag([pt.alpha, pt.beta, pt.beta, pt.delta]).astype(complex)
             for eta in np.linspace(0.0, 1.0, 10):
-                assert abs(ce_objective(pt, float(eta)) - mutual_info(float(eta), rho)) < 1e-10
+                assert abs(ce_value(pt.alpha, pt.delta, float(eta)) - mutual_info(float(eta), rho)) < 1e-10
 
     def test_q_objective_noiseless_uniform(self):
-        assert abs(q_objective(SimplexPoint(0.25, 0.25, 0.25), 1.0) - 2.0) < 1e-12
+        assert abs(q_value(0.25, 0.25, 1.0) - 2.0) < 1e-12
 
     def test_q_objective_no_decay_weight(self):
         pt = SimplexPoint.from_alpha_delta(0.2, 0.0)
-        assert abs(q_objective(pt, 0.7) - vn_entropy(np.diag([0.2, 0.4, 0.4, 0.0]))) < 1e-12
+        assert abs(q_value(pt.alpha, pt.delta, 0.7) - vn_entropy(np.diag([0.2, 0.4, 0.4, 0.0]))) < 1e-12
 
     def test_ce_objective_noiseless_uniform(self):
-        assert abs(ce_objective(SimplexPoint(0.25, 0.25, 0.25), 1.0) - 4.0) < 1e-12
+        assert abs(ce_value(0.25, 0.25, 1.0) - 4.0) < 1e-12
 
     def test_ce_objective_superdense_coding_point(self):
         pt = SimplexPoint(1.0 / 3.0, 1.0 / 3.0, 0.0)
-        assert abs(ce_objective(pt, 0.0) - 2.0 * LOG2_3) < 1e-12
+        assert abs(ce_value(pt.alpha, pt.delta, 0.0) - 2.0 * LOG2_3) < 1e-12
 
 
 class TestCad1AndPopt:
@@ -132,6 +132,14 @@ class TestCad1AndPopt:
     def test_p_opt_formula_consistency(self):
         eta = 0.5
         assert abs(p_opt(eta) - 1.0 / (1.0 + 2.0 ** (1.0 - c_ad1(eta)))) < 1e-12
+
+    @pytest.mark.parametrize("eta", np.linspace(0.0, 1.0, 101).tolist())
+    def test_direct_sum_identity(self, eta):
+        """log2(2 + 2^C_ad1) is the optimally weighted two-block formula."""
+        cad = c_ad1(eta)
+        w = 1.0 / (1.0 + 2.0 ** (1.0 - cad))
+        assert abs(c1(eta).value - (1.0 + float(h2(w)) - w * (1.0 - cad))) < 1e-12
+        assert abs(p_opt(eta) - w) < 1e-12
 
     def test_p_opt_range(self):
         for eta in np.linspace(0.0, 1.0, 11):
@@ -264,7 +272,6 @@ class TestCapacityPoint:
                 q=good.q,
                 ce=1.0,
                 chi_lb1=good.chi_lb1,
-                chi_lb2=good.chi_lb2,
                 coeffs_c1=good.coeffs_c1,
                 coeffs_q=good.coeffs_q,
                 coeffs_ce=good.coeffs_ce,

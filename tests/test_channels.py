@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import bell_phi_plus
 from fcad.channels import (
@@ -13,14 +11,11 @@ from fcad.channels import (
     ad_channel,
     apply,
     check_composition,
-    choi_matrix,
     complementary_output,
     compose,
     degrading_map,
     fc_channel,
     identity_channel,
-    memory_channel,
-    tensor,
 )
 from fcad.qmat import (
     DimensionMismatchError,
@@ -104,41 +99,6 @@ class TestFcChannel:
             assert eigs[2] < 1e-10 and eigs[3] < 1e-10
 
 
-class TestMemoryChannel:
-    def test_full_memory_endpoint(self):
-        eta = 0.4
-        for i in range(20):
-            rho = random_density(4, np.random.SeedSequence([31, i]))
-            assert max_abs_diff(
-                apply(memory_channel(eta, 1.0), rho), apply(fc_channel(eta), rho)
-            ) < 1e-12
-
-    def test_memoryless_endpoint(self):
-        eta = 0.4
-        pair = tensor(ad_channel(eta), ad_channel(eta))
-        for i in range(20):
-            rho = random_density(4, np.random.SeedSequence([32, i]))
-            assert max_abs_diff(apply(memory_channel(eta, 0.0), rho), apply(pair, rho)) < 1e-12
-
-    def test_convex_mixture(self):
-        eta, mu = 0.5, 0.5
-        rho = outer(basis_state(4, 3))
-        blend = (1.0 - mu) * apply(tensor(ad_channel(eta), ad_channel(eta)), rho) + mu * apply(
-            fc_channel(eta), rho
-        )
-        assert max_abs_diff(apply(memory_channel(eta, mu), rho), blend) < 1e-14
-
-    @given(
-        st.floats(min_value=0.0, max_value=1.0),
-        st.floats(min_value=0.0, max_value=1.0),
-        st.integers(min_value=0, max_value=10**6),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_trace_preserving(self, eta, mu, seed):
-        rho = random_density(4, seed)
-        assert abs(np.trace(apply(memory_channel(eta, mu), rho)).real - 1.0) < 1e-12
-
-
 class TestApplyAndCompose:
     def test_identity_channel(self):
         rho = random_density(4, 1)
@@ -169,16 +129,11 @@ class TestApplyAndCompose:
             compose(ad_channel(0.5), fc_channel(0.5))
 
     def test_trace_preservation_all_channels(self):
-        channels = [ad_channel(0.3), fc_channel(0.3), memory_channel(0.3, 0.6), degrading_map(0.7)]
+        channels = [ad_channel(0.3), fc_channel(0.3), degrading_map(0.7)]
         for ch in channels:
             for i in range(25):
                 rho = random_density(ch.dim_in, np.random.SeedSequence([77, i]))
                 assert abs(np.trace(apply(ch, rho)).real - 1.0) < 1e-12
-
-    def test_choi_positive(self):
-        for ch in (ad_channel(0.3), fc_channel(0.8), memory_channel(0.5, 0.4), degrading_map(0.6)):
-            eigs = np.linalg.eigvalsh(choi_matrix(ch))
-            assert eigs.min() >= -1e-10
 
     def test_completeness_validation(self):
         with pytest.raises(ValueError):

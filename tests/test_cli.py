@@ -91,6 +91,31 @@ class TestSweep:
         assert len(rows) == 1
         assert float(rows[0]["eta"]) == 0.5
 
+    def test_config_out_with_flag_override(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        from_config = tmp_path / "from_config.csv"
+        from_flag = tmp_path / "from_flag.csv"
+        cfg.write_text(f"eta_start = 0.5\neta_end = 0.5\nquantities = p_opt\nout = {from_config}\n")
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == ""
+        assert from_config.read_text().splitlines()[0] == "eta,p_opt"
+        from_config.unlink()
+        assert main(["sweep", "--config", str(cfg), "--out", str(from_flag)]) == 0
+        assert from_flag.read_text().splitlines()[0] == "eta,p_opt"
+        assert not from_config.exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("seed = 1", "error: unknown config key 'seed'\n"), ("eta_step = fast", "error: bad value in config file")],
+    )
+    def test_bad_config_line_is_config_error(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"quantities = p_opt\n{line}\n")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
     def test_bad_range_is_config_error(self, capsys):
         assert main(["sweep", "--eta-start", "0.9", "--eta-end", "0.1"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -114,10 +139,6 @@ class TestSweepConfig:
     def test_rejects_zero_step(self):
         with pytest.raises(InvalidConfigError):
             SweepConfig(eta_step=0.0).validate()
-
-    def test_rejects_negative_seed(self):
-        with pytest.raises(InvalidConfigError):
-            SweepConfig(seed=-1).validate()
 
 
 class TestPoint:
@@ -144,9 +165,19 @@ class TestPoint:
     def test_bad_eta(self, capsys):
         assert main(["point", "--eta", "1.2", "--quantity", "c1"]) == 2
 
+    def test_reports_match_pinned_output(self, capsys):
+        """Every point report, pinned to the output of an earlier release."""
+        for eta, quantity in [("0.7", q) for q in ("c1", "q", "ce", "bounds", "p_opt", "c_ad1")] + [("0.3", "q")]:
+            assert main(["point", "--eta", eta, "--quantity", quantity]) == 0
+        assert capsys.readouterr().out == (DATA / "point_reports.txt").read_text()
+
+    # later flags override the --eta and --quantity given below; q below
+    # eta 1/2, p_opt and c_ad1 run no simplex search but must still reject
     @pytest.mark.parametrize(
         "flags",
-        [["--refine-tol", "0"], ["--coarse-step", "0"], ["--coarse-step", "-0.1"]],
+        [["--refine-tol", "0"], ["--coarse-step", "0"], ["--coarse-step", "-0.1"],
+         ["--eta", "0.3", "--coarse-step", "0"], ["--quantity", "p_opt", "--coarse-step", "0"],
+         ["--quantity", "c_ad1", "--refine-tol", "0"]],
     )
     def test_bad_optimizer_settings_are_config_errors(self, flags, capsys):
         assert main(["point", "--eta", "0.7", "--quantity", "q", *flags]) == 2
