@@ -24,14 +24,12 @@ from .capacities import (
 from .channels import (
     EtaOutOfRangeError,
     QuantumChannel,
-    ad_channel,
     apply,
     check_composition,
     complementary_output,
     compose,
     degrading_map,
     fc_channel,
-    identity_channel,
 )
 from .covariance import (
     SymmetryOp,

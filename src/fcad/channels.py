@@ -1,4 +1,4 @@
-"""Kraus-operator channels: one-qubit and fully correlated amplitude damping.
+"""Kraus-operator channels: fully correlated two-qubit amplitude damping.
 
 The central object is the fully correlated two-qubit damping channel,
 where relaxation only ever happens on both qubits at once: the basis
@@ -17,14 +17,12 @@ from .qmat import DimensionMismatchError, dag, max_abs_diff, random_density
 __all__ = [
     "EtaOutOfRangeError",
     "QuantumChannel",
-    "ad_channel",
     "apply",
     "check_composition",
     "complementary_output",
     "compose",
     "degrading_map",
     "fc_channel",
-    "identity_channel",
 ]
 
 COMPLETENESS_TOL = 1e-12
@@ -68,18 +66,6 @@ class QuantumChannel:
             acc += dag(k) @ k
         if max_abs_diff(acc, np.eye(self.dim_in)) > COMPLETENESS_TOL:
             raise ValueError("Kraus operators do not satisfy the completeness relation")
-
-
-def identity_channel(dim: int) -> QuantumChannel:
-    return QuantumChannel((np.eye(dim, dtype=complex),), dim, dim)
-
-
-def ad_channel(eta: float) -> QuantumChannel:
-    """Single-qubit amplitude damping; |1> survives with probability eta."""
-    eta = _check_eta(eta)
-    e0 = np.array([[1.0, 0.0], [0.0, np.sqrt(eta)]], dtype=complex)
-    e1 = np.array([[0.0, np.sqrt(1.0 - eta)], [0.0, 0.0]], dtype=complex)
-    return QuantumChannel((e0, e1), 2, 2)
 
 
 def fc_channel(eta: float) -> QuantumChannel:
@@ -137,37 +123,17 @@ def _corner_collapse_channel() -> QuantumChannel:
     """CPTP map folding the one-excitation populations into |00><00| while
     keeping the |00>/|11> populations and coherence.
 
-    Built from a five-qubit circuit: attach three ancilla qubits in |0>,
-    flip the first ancilla conditioned on each system qubit (it records
-    the excitation parity), swap the system register with the remaining
-    ancilla pair whenever that parity is odd, then discard the ancillas.
-    The circuit is a permutation unitary, so the reduced map is completely
-    positive by construction.
+    Its Kraus operators |00><00| + |11><11|, |00><01| and |00><10| are the
+    reduced map of a five-qubit permutation circuit: attach three ancillas
+    in |0>, record the excitation parity on the first, swap the system with
+    the other two when it is odd, then discard the ancillas.
     """
-
-    def idx(s: int, a1: int, a23: int) -> int:
-        return s * 8 + a1 * 4 + a23
-
-    u = np.zeros((32, 32))
-    for s in range(4):
-        parity = ((s >> 1) ^ s) & 1
-        for a1 in range(2):
-            for a23 in range(4):
-                b1 = a1 ^ parity
-                if b1:
-                    u[idx(a23, b1, s), idx(s, a1, a23)] = 1.0
-                else:
-                    u[idx(s, b1, a23), idx(s, a1, a23)] = 1.0
-    ops = []
-    for a1 in range(2):
-        for a23 in range(4):
-            k = np.zeros((4, 4), dtype=complex)
-            for s_out in range(4):
-                for s_in in range(4):
-                    k[s_out, s_in] = u[idx(s_out, a1, a23), idx(s_in, 0, 0)]
-            if np.any(k):
-                ops.append(k)
-    return QuantumChannel(tuple(ops), 4, 4)
+    keep = np.diag([1.0, 0.0, 0.0, 1.0])
+    from_01 = np.zeros((4, 4))
+    from_01[0, 1] = 1.0
+    from_10 = np.zeros((4, 4))
+    from_10[0, 2] = 1.0
+    return QuantumChannel((keep, from_01, from_10), 4, 4)
 
 
 def degrading_map(eta: float) -> QuantumChannel:

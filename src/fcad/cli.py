@@ -8,8 +8,10 @@ or I/O error, including settings the library rejects with ValueError.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -24,28 +26,33 @@ QUANTITIES = ("c1", "q", "ce", "bounds", "coeffs", "entanglement", "p_opt", "c_a
 POINT_QUANTITIES = ("c1", "q", "ce", "bounds", "p_opt", "c_ad1")
 SUITES = ("covariance", "degradability", "inequalities", "symmetrization", "composition", "all")
 
-# column -> quantity group that switches it on (None = always emitted)
+# finest sweep: one row per 1e-4 of eta over [0, 1]
+MAX_SWEEP_ROWS = 10_001
+# how far past eta_end the last grid point may land
+_ETA_SLACK = 1e-9
+
+# (column, quantity group that switches it on or None if always emitted, CapacityPoint attribute path)
 _COLUMNS = (
-    ("eta", None),
-    ("c1", "c1"),
-    ("c1_chain_check", "c1"),
-    ("q", "q"),
-    ("ce", "ce"),
-    ("chi_lb1", "bounds"),
-    ("chi_lb2", "bounds"),
-    ("alpha_c1", "coeffs"),
-    ("beta_c1", "coeffs"),
-    ("delta_c1", "coeffs"),
-    ("alpha_q", "coeffs"),
-    ("beta_q", "coeffs"),
-    ("delta_q", "coeffs"),
-    ("alpha_ce", "coeffs"),
-    ("beta_ce", "coeffs"),
-    ("delta_ce", "coeffs"),
-    ("p_opt", "p_opt"),
-    ("c_ad1", "c_ad1"),
-    ("e_phi", "entanglement"),
-    ("e_avg", "entanglement"),
+    ("eta", None, "eta"),
+    ("c1", "c1", "c1"),
+    ("c1_chain_check", "c1", "c1_opt"),
+    ("q", "q", "q"),
+    ("ce", "ce", "ce"),
+    ("chi_lb1", "bounds", "chi_lb1"),
+    ("chi_lb2", "bounds", "c1_opt"),
+    ("alpha_c1", "coeffs", "coeffs_c1.alpha"),
+    ("beta_c1", "coeffs", "coeffs_c1.beta"),
+    ("delta_c1", "coeffs", "coeffs_c1.delta"),
+    ("alpha_q", "coeffs", "coeffs_q.alpha"),
+    ("beta_q", "coeffs", "coeffs_q.beta"),
+    ("delta_q", "coeffs", "coeffs_q.delta"),
+    ("alpha_ce", "coeffs", "coeffs_ce.alpha"),
+    ("beta_ce", "coeffs", "coeffs_ce.beta"),
+    ("delta_ce", "coeffs", "coeffs_ce.delta"),
+    ("p_opt", "p_opt", "p_opt"),
+    ("c_ad1", "c_ad1", "c_ad1"),
+    ("e_phi", "entanglement", "e_phi"),
+    ("e_avg", "entanglement", "e_avg"),
 )
 
 
@@ -68,8 +75,13 @@ class SweepConfig:
             raise InvalidConfigError(
                 f"need 0 <= eta-start <= eta-end <= 1, got [{self.eta_start}, {self.eta_end}]"
             )
-        if self.eta_step <= 0.0:
-            raise InvalidConfigError(f"eta-step must be positive, got {self.eta_step}")
+        if not 0.0 < self.eta_step < math.inf:
+            raise InvalidConfigError(f"eta-step must be finite and positive, got {self.eta_step}")
+        if (self.eta_end + _ETA_SLACK - self.eta_start) / self.eta_step >= MAX_SWEEP_ROWS:
+            raise InvalidConfigError(
+                f"eta-step {self.eta_step} gives more than {MAX_SWEEP_ROWS} rows "
+                f"over [{self.eta_start}, {self.eta_end}]"
+            )
         bad = [q for q in self.quantities if q not in QUANTITIES]
         if bad or not self.quantities:
             raise InvalidConfigError(
@@ -137,50 +149,19 @@ def _fmt(value: float) -> str:
 
 
 def _eta_grid(cfg: SweepConfig) -> list[float]:
-    etas = []
-    i = 0
-    while True:
-        eta = cfg.eta_start + i * cfg.eta_step
-        if eta > cfg.eta_end + 1e-9:
-            break
-        etas.append(min(eta, 1.0))
-        i += 1
-    return etas
-
-
-def _row_values(pt: capacities.CapacityPoint) -> dict[str, float]:
-    return {
-        "eta": pt.eta,
-        "c1": pt.c1,
-        "c1_chain_check": pt.c1_opt,
-        "q": pt.q,
-        "ce": pt.ce,
-        "chi_lb1": pt.chi_lb1,
-        "chi_lb2": pt.c1_opt,
-        "alpha_c1": pt.coeffs_c1.alpha,
-        "beta_c1": pt.coeffs_c1.beta,
-        "delta_c1": pt.coeffs_c1.delta,
-        "alpha_q": pt.coeffs_q.alpha,
-        "beta_q": pt.coeffs_q.beta,
-        "delta_q": pt.coeffs_q.delta,
-        "alpha_ce": pt.coeffs_ce.alpha,
-        "beta_ce": pt.coeffs_ce.beta,
-        "delta_ce": pt.coeffs_ce.delta,
-        "p_opt": pt.p_opt,
-        "c_ad1": pt.c_ad1,
-        "e_phi": pt.e_phi,
-        "e_avg": pt.e_avg,
-    }
+    """eta_start + i eta_step for every i that stays within eta_end (up to a slack)."""
+    n = math.floor((cfg.eta_end + _ETA_SLACK - cfg.eta_start) / cfg.eta_step) + 1
+    return [min(cfg.eta_start + i * cfg.eta_step, 1.0) for i in range(n)]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _sweep_config(args)
     selected = set(cfg.quantities)
-    columns = [name for name, group in _COLUMNS if group is None or group in selected]
-    lines = [",".join(columns)]
+    columns = [(name, attrgetter(path)) for name, group, path in _COLUMNS if group is None or group in selected]
+    lines = [",".join(name for name, _ in columns)]
     for eta in _eta_grid(cfg):
-        values = _row_values(capacities.capacity_point(eta, cfg.coarse_step, cfg.refine_tol))
-        lines.append(",".join(_fmt(values[c]) for c in columns))
+        pt = capacities.capacity_point(eta, cfg.coarse_step, cfg.refine_tol)
+        lines.append(",".join(_fmt(value(pt)) for _, value in columns))
     text = "\n".join(lines) + "\n"
     if cfg.output_path is None:
         sys.stdout.write(text)
@@ -243,6 +224,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
     if args.samples is not None and args.samples < 1:
         raise InvalidConfigError(f"samples must be at least 1, got {args.samples}")
+    if args.tol is not None and not 0.0 <= args.tol < math.inf:
+        raise InvalidConfigError(f"tol must be finite and nonnegative, got {args.tol}")
     ok = True
 
     if "covariance" in suites:

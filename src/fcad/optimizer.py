@@ -25,7 +25,11 @@ __all__ = [
 ]
 
 SIMPLEX_TOL = 1e-12
+# finest coarse step accepted, the step of the flat-grid test oracle (about 5e7 points)
+MIN_COARSE_STEP = 1e-4
 _INV_PHI = (sqrt(5.0) - 1.0) / 2.0
+_LINE_TOL = 1e-9
+_LINE_GRID_POINTS = 1000
 _MAX_MOVES_PER_LEVEL = 10_000
 _SCAN_BLOCK = 1 << 16
 # (di, dj) offsets of the refine stencil, centre excluded, in scan order
@@ -64,17 +68,6 @@ class OptimResult:
     grid_step_final: float
 
 
-def _pointwise(objective):
-    """Array form of a scalar objective, for callers without a vectorized one."""
-
-    def grid_objective(alphas, deltas):
-        return np.array(
-            [objective(SimplexPoint.from_alpha_delta(a, d)) for a, d in zip(alphas.tolist(), deltas.tolist())]
-        )
-
-    return grid_objective
-
-
 def _scan_triangle(grid_objective, step: float) -> tuple[float, float, float, int]:
     """Best point of the flat (alpha, delta) grid, as (value, alpha, delta, evaluations).
 
@@ -102,18 +95,16 @@ def _scan_triangle(grid_objective, step: float) -> tuple[float, float, float, in
 
 
 def check_settings(coarse_step: float, refine_tol: float) -> None:
-    """Reject simplex search settings that leave the simplex or never stop refining."""
-    if not 0.0 < coarse_step <= 0.5:
-        raise ValueError(f"coarse_step must be in (0, 0.5], got {coarse_step}")
+    """Reject simplex search settings that leave the simplex, scan an
+    unbounded number of coarse points, or never stop refining."""
+    if not MIN_COARSE_STEP <= coarse_step <= 0.5:
+        raise ValueError(f"coarse_step must be in [{MIN_COARSE_STEP:g}, 0.5], got {coarse_step}")
     if not refine_tol > 0.0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
 
 
 def maximize_simplex(
-    objective,
-    coarse_step: float = 1e-2,
-    refine_tol: float = 1e-7,
-    grid_objective=None,
+    objective, grid_objective, coarse_step: float = 1e-2, refine_tol: float = 1e-7
 ) -> OptimResult:
     """Grid scan of the (alpha, delta) triangle followed by local refinement.
 
@@ -125,16 +116,12 @@ def maximize_simplex(
     falls under the coarse optimum.  Boundary faces are evaluated directly,
     relying on the objective treating 0 log 0 as 0.
 
-    ``objective`` takes a :class:`SimplexPoint`.  ``grid_objective``, when
-    given, must be the same function vectorized over (alpha, delta) numpy
-    arrays; it then drives both the coarse scan and every stencil pass, and
-    ``objective`` is called once, to score the returned point.  Without it
-    the scalar objective is evaluated point by point.
+    ``grid_objective`` takes (alpha, delta) numpy arrays and drives both
+    the coarse scan and every stencil pass.  ``objective`` is the same
+    function on a :class:`SimplexPoint`; it is called once, to score the
+    returned point.
     """
     check_settings(coarse_step, refine_tol)
-    if grid_objective is None:
-        grid_objective = _pointwise(objective)
-
     best_value, best_a, best_d, evaluations = _scan_triangle(grid_objective, coarse_step)
 
     # With h <= coarse_step / 2 <= 1/4 every point of the triangle keeps at
@@ -169,18 +156,17 @@ def scan_simplex(grid_objective, step: float) -> OptimResult:
     return OptimResult(value, SimplexPoint.from_alpha_delta(a, d), evaluations, step)
 
 
-def maximize_1d(
-    objective, lo: float, hi: float, tol: float = 1e-9, grid_points: int = 1000
-) -> OptimResult:
+def maximize_1d(objective, lo: float, hi: float) -> OptimResult:
     """Golden-section ascent cross-checked against a flat grid scan.
 
     Golden section assumes a unimodal objective; the grid pass protects
     the result when that assumption is off.  The better of the two
     candidates is returned (ties keep the golden-section point).
 
+    The search stops once the bracket is narrower than ``_LINE_TOL``.
     ``objective`` is called with a float during the golden-section search
-    and once with the 1-D array of all ``grid_points + 1`` grid abscissae,
-    so it must broadcast over numpy arrays.
+    and once with the 1-D array of all ``_LINE_GRID_POINTS + 1`` grid
+    abscissae, so it must broadcast over numpy arrays.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -207,7 +193,7 @@ def maximize_1d(
     evaluations += 2
     consider(c, fc)
     consider(d, fd)
-    while b - a > tol:
+    while b - a > _LINE_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -221,8 +207,8 @@ def maximize_1d(
             evaluations += 1
             consider(d, fd)
 
-    spacing = (hi - lo) / grid_points
-    xs = lo + spacing * np.arange(grid_points + 1)
+    spacing = (hi - lo) / _LINE_GRID_POINTS
+    xs = lo + spacing * np.arange(_LINE_GRID_POINTS + 1)
     fs = np.asarray(objective(xs), dtype=float)
     evaluations += fs.size
     k = int(np.argmax(fs))

@@ -118,11 +118,9 @@ class TestCad1AndPopt:
         eta = 0.75
         search = c_ad1_search(eta)
 
-        def gain(p: float) -> float:
-            root = math.sqrt(max(0.0, 1.0 - 4.0 * eta * (1.0 - eta) * p * p))
-            return float(h2(eta * p)) - float(h2(0.5 * (1.0 + root)))
-
-        fine = max(gain(k / 100000.0) for k in range(100001))
+        p = np.arange(100001) / 100000.0
+        root = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * eta * (1.0 - eta) * p * p))
+        fine = float(np.max(h2(eta * p) - h2(0.5 * (1.0 + root))))
         assert abs(search.value - fine) < 1e-6
 
     def test_p_opt_endpoints(self):
@@ -301,10 +299,6 @@ class TestInequalityVerifiers:
         lhs = float(h2(0.5))
         rhs = x * float(h2(0.5 * (1.0 + math.sqrt(1.0 - 1.0 / x**2))))
         assert lhs - rhs > 0.1
-
-    def test_entangled_pair_requires_range(self):
-        with pytest.raises(ValueError):
-            verify_entangled_pair_inequality(grid_x_max=1.0)
 
 
 class TestSymmetrizationChain:

@@ -8,14 +8,12 @@ from fcad.channels import (
     EtaOutOfRangeError,
     QuantumChannel,
     _corner_collapse_channel,
-    ad_channel,
     apply,
     check_composition,
     complementary_output,
     compose,
     degrading_map,
     fc_channel,
-    identity_channel,
 )
 from fcad.qmat import (
     DimensionMismatchError,
@@ -28,30 +26,6 @@ from fcad.qmat import (
     random_density,
     random_pure,
 )
-
-
-class TestAdChannel:
-    def test_kraus_forms(self):
-        eta = 0.36
-        e0, e1 = ad_channel(eta).kraus
-        np.testing.assert_allclose(e0, np.diag([1.0, 0.6]))
-        np.testing.assert_allclose(e1, [[0.0, 0.8], [0.0, 0.0]])
-
-    def test_noiseless_limit(self):
-        rho = random_density(2, 0)
-        np.testing.assert_allclose(apply(ad_channel(1.0), rho), rho, atol=1e-15)
-
-    def test_full_decay(self):
-        out = apply(ad_channel(0.0), outer(basis_state(2, 1)))
-        np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-15)
-
-    def test_partial_decay(self):
-        out = apply(ad_channel(0.36), outer(basis_state(2, 1)))
-        np.testing.assert_allclose(out, np.diag([0.64, 0.36]), atol=1e-15)
-
-    def test_rejects_bad_eta(self):
-        with pytest.raises(EtaOutOfRangeError):
-            ad_channel(1.5)
 
 
 class TestFcChannel:
@@ -100,10 +74,6 @@ class TestFcChannel:
 
 
 class TestApplyAndCompose:
-    def test_identity_channel(self):
-        rho = random_density(4, 1)
-        np.testing.assert_allclose(apply(identity_channel(4), rho), rho)
-
     def test_apply_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
             apply(fc_channel(0.5), np.eye(2) / 2)
@@ -115,7 +85,7 @@ class TestApplyAndCompose:
         ch = fc_channel(0.3)
         rho = random_density(4, 2)
         assert max_abs_diff(
-            apply(compose(identity_channel(4), ch), rho), apply(ch, rho)
+            apply(compose(fc_channel(1.0), ch), rho), apply(ch, rho)
         ) < 1e-15
 
     def test_compose_zero_transmissivity(self):
@@ -126,10 +96,10 @@ class TestApplyAndCompose:
 
     def test_compose_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
-            compose(ad_channel(0.5), fc_channel(0.5))
+            compose(QuantumChannel((np.eye(2),), 2, 2), fc_channel(0.5))
 
     def test_trace_preservation_all_channels(self):
-        channels = [ad_channel(0.3), fc_channel(0.3), degrading_map(0.7)]
+        channels = [fc_channel(0.3), degrading_map(0.7)]
         for ch in channels:
             for i in range(25):
                 rho = random_density(ch.dim_in, np.random.SeedSequence([77, i]))

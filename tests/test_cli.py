@@ -1,12 +1,23 @@
+import io
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fcad import cli
 from fcad.cli import InvalidConfigError, SweepConfig, main
 
 LOG2_3 = math.log2(3.0)
 DATA = Path(__file__).parent / "data"
+# CHECK name -> its line in the pinned reduced-sample verify reports
+VERIFY_REPORTS = {
+    line.split()[1]: line for line in (DATA / "verify_reports.txt").read_text().splitlines(keepends=True)
+}
+# any float, NaN, infinities, subnormals and negatives included
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 
 
 def read_rows(path):
@@ -72,7 +83,7 @@ class TestSweep:
     @pytest.mark.parametrize(
         "flags",
         [["--coarse-step", "0"], ["--coarse-step", "-0.1"], ["--coarse-step", "0.6"],
-         ["--refine-tol", "0"], ["--refine-tol", "nan"]],
+         ["--refine-tol", "0"], ["--refine-tol", "nan"], ["--coarse-step", "1e-5"]],
     )
     def test_bad_optimizer_settings_are_config_errors(self, flags, capsys):
         assert main(["sweep", "--eta-step", "0.5", *flags]) == 2
@@ -106,7 +117,8 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "line, message",
-        [("seed = 1", "error: unknown config key 'seed'\n"), ("eta_step = fast", "error: bad value in config file")],
+        [("seed = 1", "error: unknown config key 'seed'\n"), ("eta_step = fast", "error: bad value in config file"),
+         ("eta_step = nan", "error: eta-step must be finite and positive, got nan\n")],
     )
     def test_bad_config_line_is_config_error(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"
@@ -115,6 +127,13 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("step", ["nan", "inf", "1e-12"])
+    def test_bad_eta_step_is_config_error(self, step, capsys):
+        assert main(["sweep", "--eta-step", step, "--quantities", "p_opt"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: eta-step") and captured.err.count("\n") == 1
 
     def test_bad_range_is_config_error(self, capsys):
         assert main(["sweep", "--eta-start", "0.9", "--eta-end", "0.1"]) == 2
@@ -139,6 +158,22 @@ class TestSweepConfig:
     def test_rejects_zero_step(self):
         with pytest.raises(InvalidConfigError):
             SweepConfig(eta_step=0.0).validate()
+
+    def test_finest_grid_is_accepted(self):
+        etas = cli._eta_grid(SweepConfig(eta_step=1e-4).validate())
+        assert len(etas) == cli.MAX_SWEEP_ROWS
+        assert etas[-1] == 1.0
+
+    @given(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)
+    @settings(max_examples=300, deadline=None)
+    def test_valid_config_gives_a_bounded_grid(self, start, end, step):
+        try:
+            cfg = SweepConfig(eta_start=start, eta_end=end, eta_step=step).validate()
+        except InvalidConfigError:
+            return
+        etas = cli._eta_grid(cfg)
+        assert 1 <= len(etas) <= cli.MAX_SWEEP_ROWS
+        assert all(0.0 <= eta <= 1.0 for eta in etas)
 
 
 class TestPoint:
@@ -177,7 +212,7 @@ class TestPoint:
         "flags",
         [["--refine-tol", "0"], ["--coarse-step", "0"], ["--coarse-step", "-0.1"],
          ["--eta", "0.3", "--coarse-step", "0"], ["--quantity", "p_opt", "--coarse-step", "0"],
-         ["--quantity", "c_ad1", "--refine-tol", "0"]],
+         ["--quantity", "c_ad1", "--refine-tol", "0"], ["--coarse-step", "1e-5"]],
     )
     def test_bad_optimizer_settings_are_config_errors(self, flags, capsys):
         assert main(["point", "--eta", "0.7", "--quantity", "q", *flags]) == 2
@@ -185,34 +220,50 @@ class TestPoint:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
+    @given(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)
+    @settings(max_examples=100, deadline=None)
+    def test_any_flag_values_finish_or_exit_2(self, eta, coarse, refine):
+        # c_ad1 runs no simplex search, so an accepted setting stays fast.  The
+        # values are attached with "=": argparse reads a separate "-inf" or
+        # "-1e-05" token as an unknown option, not as a value
+        argv = ["point", f"--eta={eta!r}", "--quantity", "c_ad1",
+                f"--coarse-step={coarse!r}", f"--refine-tol={refine!r}"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 2)
+        if rc == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+def assert_reports(out: str, *names: str) -> None:
+    assert out == "".join(VERIFY_REPORTS[name] for name in names)
+
 
 class TestVerify:
     def test_composition_passes(self, capsys):
         assert main(["verify", "composition", "--samples", "25"]) == 0
-        out = capsys.readouterr().out
-        assert "CHECK composition PASS" in out
+        assert_reports(capsys.readouterr().out, "composition")
 
     def test_covariance_passes(self, capsys):
         assert main(["verify", "covariance", "--samples", "10"]) == 0
-        out = capsys.readouterr().out
-        for name in ("covariance_R1", "covariance_R2", "covariance_R3", "covariance_SWAP"):
-            assert f"CHECK {name} PASS" in out
+        assert_reports(
+            capsys.readouterr().out,
+            "covariance_R1", "covariance_R2", "covariance_R3", "covariance_SWAP", "kraus_commutation",
+        )
 
     def test_degradability_passes(self, capsys):
         assert main(["verify", "degradability", "--samples", "10"]) == 0
-        assert "CHECK degradability PASS" in capsys.readouterr().out
+        assert_reports(capsys.readouterr().out, "degradability")
 
     def test_inequalities_pass(self, capsys):
         assert main(["verify", "inequalities", "--samples", "5000"]) == 0
-        out = capsys.readouterr().out
-        assert "CHECK state_splitting PASS" in out
-        assert "CHECK entangled_pair PASS" in out
+        assert_reports(capsys.readouterr().out, "state_splitting", "entangled_pair")
 
     def test_symmetrization_passes(self, capsys):
         assert main(["verify", "symmetrization", "--samples", "10"]) == 0
-        out = capsys.readouterr().out
-        assert "CHECK symmetrization_chain PASS" in out
-        assert "CHECK separable_gain PASS" in out
+        assert_reports(capsys.readouterr().out, "symmetrization_chain", "separable_gain")
 
     def test_impossible_tolerance_fails(self, capsys):
         assert main(["verify", "composition", "--samples", "10", "--tol", "0"]) == 1
@@ -224,6 +275,13 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "CHECK" not in captured.out
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    def test_bad_tol_is_config_error(self, tol, capsys):
+        assert main(["verify", "composition", "--samples", "10", f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tol") and captured.err.count("\n") == 1
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcad.channels import apply, fc_channel, identity_channel
+from fcad.channels import apply, fc_channel
 from fcad.covariance import symmetry_ops
 from fcad.entropy import (
     DomainError,
@@ -100,7 +100,7 @@ class TestEnsemble:
 class TestHolevo:
     def test_noiseless_orthonormal(self):
         ens = Ensemble(tuple((0.25, basis_state(4, i)) for i in range(4)))
-        assert abs(holevo(identity_channel(4), ens) - 2.0) < 1e-12
+        assert abs(holevo(fc_channel(1.0), ens) - 2.0) < 1e-12
 
     @pytest.mark.parametrize("eta", [0.0, 0.35, 1.0])
     def test_noiseless_triple(self, eta):

@@ -13,8 +13,14 @@ from fcad.optimizer import SimplexPoint, maximize_1d, maximize_simplex, scan_sim
 LOG2_3 = math.log2(3.0)
 
 
-def shannon_objective(pt: SimplexPoint) -> float:
-    return float(-xlog2(pt.alpha) - 2.0 * xlog2(pt.beta) - xlog2(pt.delta))
+def shannon_value(alpha, delta):
+    beta = np.maximum(0.0, 0.5 * (1.0 - alpha - delta))
+    return -xlog2(alpha) - 2.0 * xlog2(beta) - xlog2(delta)
+
+
+def objectives(value, *args):
+    """Scalar scorer and array objective of ``value(alpha, delta, *args)``."""
+    return lambda pt: float(value(pt.alpha, pt.delta, *args)), lambda a, d: value(a, d, *args)
 
 
 class TestSimplexPoint:
@@ -43,45 +49,36 @@ class TestSimplexPoint:
 
 class TestMaximizeSimplex:
     def test_shannon_entropy_peak(self):
-        result = maximize_simplex(shannon_objective)
+        result = maximize_simplex(*objectives(shannon_value))
         assert abs(result.value - 2.0) < 1e-12
         assert result.point.alpha == pytest.approx(0.25, abs=1e-7)
         assert result.point.delta == pytest.approx(0.25, abs=1e-7)
 
     def test_coherent_info_noiseless(self):
-        result = maximize_simplex(lambda pt: float(q_value(pt.alpha, pt.delta, 1.0)))
+        result = maximize_simplex(*objectives(q_value, 1.0))
         assert abs(result.value - 2.0) < 1e-12
 
     def test_coherent_info_low_transmissivity_boundary(self):
         """Below eta = 1/2 the maximum sits on the delta = 0 face at log2(3)."""
-        result = maximize_simplex(lambda pt: float(q_value(pt.alpha, pt.delta, 0.3)))
+        result = maximize_simplex(*objectives(q_value, 0.3))
         assert abs(result.value - LOG2_3) < 1e-4
         assert result.point.delta < 1e-7
 
     def test_refinement_is_monotone(self):
-        objective = lambda pt: float(chi_b_value(pt.alpha, pt.delta, 0.37))
-        coarse_only = maximize_simplex(objective, coarse_step=0.01, refine_tol=0.01)
-        refined = maximize_simplex(objective, coarse_step=0.01, refine_tol=1e-7)
+        pair = objectives(chi_b_value, 0.37)
+        coarse_only = maximize_simplex(*pair, coarse_step=0.01, refine_tol=0.01)
+        refined = maximize_simplex(*pair, coarse_step=0.01, refine_tol=1e-7)
         assert refined.value >= coarse_only.value
 
     def test_deterministic(self):
-        objective = lambda pt: float(chi_b_value(pt.alpha, pt.delta, 0.61))
-        a = maximize_simplex(objective)
-        b = maximize_simplex(objective)
+        pair = objectives(chi_b_value, 0.61)
+        a = maximize_simplex(*pair)
+        b = maximize_simplex(*pair)
         assert a == b
 
-    def test_grid_objective_matches_scalar_path(self):
-        eta = 0.44
-        scalar = maximize_simplex(lambda pt: float(chi_b_value(pt.alpha, pt.delta, eta)))
-        accelerated = maximize_simplex(
-            lambda pt: float(chi_b_value(pt.alpha, pt.delta, eta)),
-            grid_objective=lambda a, d: chi_b_value(a, d, eta),
-        )
-        assert scalar == accelerated
-
     def test_value_matches_point(self):
-        objective = lambda pt: float(chi_b_value(pt.alpha, pt.delta, 0.8))
-        result = maximize_simplex(objective)
+        objective, grid_objective = objectives(chi_b_value, 0.8)
+        result = maximize_simplex(objective, grid_objective)
         assert abs(result.value - objective(result.point)) < 1e-12
 
     def test_scalar_objective_only_scores_the_result(self):
@@ -105,6 +102,7 @@ class TestMaximizeSimplex:
             {"refine_tol": 0.0},
             {"refine_tol": -1e-7},
             {"refine_tol": math.nan},
+            {"coarse_step": 1e-5},
         ],
     )
     def test_rejects_bad_settings_before_evaluating(self, bad):
@@ -113,6 +111,17 @@ class TestMaximizeSimplex:
 
         with pytest.raises(ValueError):
             maximize_simplex(never, grid_objective=never, **bad)
+
+    # unbounded st.floats() draws NaN, infinities, subnormals and negatives too
+    @given(st.floats(), st.floats())
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_settings_are_bounded(self, coarse_step, refine_tol):
+        try:
+            optimizer.check_settings(coarse_step, refine_tol)
+        except ValueError:
+            return
+        assert optimizer.MIN_COARSE_STEP <= coarse_step <= 0.5
+        assert refine_tol > 0.0
 
     @pytest.mark.parametrize("block", [1 << 16, 7])
     def test_flat_scan_visits_the_triangle_row_major(self, block, monkeypatch):
@@ -173,7 +182,7 @@ class TestMaximize1d:
             return h2(eta * p) - h2(0.5 * (1.0 + root))
 
         golden = maximize_1d(gain, 0.0, 1.0)
-        fine_grid = max(gain(k / 100000.0) for k in range(100001))
+        fine_grid = float(np.max(gain(np.arange(100001) / 100000.0)))
         assert abs(golden.value - fine_grid) < 1e-6
 
     def test_catches_non_unimodal(self):
