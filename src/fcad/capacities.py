@@ -22,7 +22,7 @@ import numpy as np
 from .channels import _check_eta, fc_channel
 from .covariance import symmetry_ops
 from .entropy import Ensemble, h2, holevo, xlog2
-from .optimizer import OptimResult, SimplexPoint, maximize_1d, maximize_simplex
+from .optimizer import COARSE_STEP, REFINE_TOL, OptimResult, SimplexPoint, maximize_1d, maximize_simplex
 from .qmat import basis_state, random_pure
 
 __all__ = [
@@ -55,6 +55,8 @@ __all__ = [
 LOG2_3 = math.log2(3.0)
 # largest |margin| the inequality verifiers accept where equality is expected
 EQUALITY_TOL = 1e-12
+# the three sign flips among symmetry_ops()
+_FLIPS = ("R1", "R2", "R3")
 
 
 class ZeroSubspaceWeightError(ValueError):
@@ -81,18 +83,17 @@ def chi_a_value(alpha, delta, eta):
     return output_entropy_diag(alpha, delta, eta) - delta * h2(eta)
 
 
-def chi_b_value(alpha, delta, eta):
-    """Holevo quantity of the ensemble with entangled states on the damped block.
+def _pair_entropy(a, d, eta):
+    """(a + d) H2((1 + sqrt(1 - 4 eta (1-eta) (d/(a+d))^2)) / 2), 0 where a + d is 0: the
+    weighted output entropy of the damped pair state sqrt(a)|00> + sqrt(d)|11>."""
+    w = np.asarray(a + np.asarray(d, dtype=float), dtype=float)
+    safe = np.where(w > 0.0, w, 1.0)
+    return w * h2(0.5 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * eta * (1.0 - eta) * (d / safe) ** 2))))
 
-    When alpha + delta vanishes the entangled pair carries no weight and
-    its entropy term is zero by convention.
-    """
-    s = np.asarray(alpha + np.asarray(delta, dtype=float), dtype=float)
-    safe = np.where(s > 0.0, s, 1.0)
-    ratio = np.where(s > 0.0, delta / safe, 0.0)
-    root = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * eta * (1.0 - eta) * ratio**2))
-    pair_entropy = s * h2(0.5 * (1.0 + root))
-    return output_entropy_diag(alpha, delta, eta) - pair_entropy
+
+def chi_b_value(alpha, delta, eta):
+    """Holevo quantity of the ensemble with entangled states on the damped block."""
+    return output_entropy_diag(alpha, delta, eta) - _pair_entropy(alpha, delta, eta)
 
 
 def q_value(alpha, delta, eta):
@@ -125,20 +126,18 @@ def ensemble_a(pt: SimplexPoint) -> Ensemble:
     )
 
 
+def _pair_items(p: float, a: float, d: float) -> list[tuple[float, np.ndarray]]:
+    """sqrt(a/w)|00> +- sqrt(d/w)|11>, w = a + d > 0, each with probability p w / 2."""
+    w = a + d
+    up = math.sqrt(a / w) * basis_state(4, 0)
+    down = math.sqrt(d / w) * basis_state(4, 3)
+    return [(p * w / 2.0, up + down), (p * w / 2.0, up - down)]
+
+
 def ensemble_b(pt: SimplexPoint) -> Ensemble:
     """Entangled pair on the damped block, |01> and |10> elsewhere."""
-    items: list[tuple[float, np.ndarray]] = [
-        (pt.beta, basis_state(4, 1)),
-        (pt.beta, basis_state(4, 2)),
-    ]
-    s = pt.alpha + pt.delta
-    if s > 0.0:
-        up = math.sqrt(pt.alpha / s)
-        down = math.sqrt(pt.delta / s)
-        plus = up * basis_state(4, 0) + down * basis_state(4, 3)
-        minus = up * basis_state(4, 0) - down * basis_state(4, 3)
-        items = [(s / 2.0, plus), (s / 2.0, minus)] + items
-    return Ensemble(tuple(items))
+    pairs = _pair_items(1.0, pt.alpha, pt.delta) if pt.alpha + pt.delta > 0.0 else []
+    return Ensemble(tuple(pairs + [(pt.beta, basis_state(4, 1)), (pt.beta, basis_state(4, 2))]))
 
 
 def entanglement_B(pt: SimplexPoint) -> tuple[float, float]:
@@ -218,7 +217,7 @@ def c1(eta: float) -> OptimResult:
 
 
 def c1_via_optimization(
-    eta: float, coarse_step: float = 1e-2, refine_tol: float = 1e-7
+    eta: float, coarse_step: float = COARSE_STEP, refine_tol: float = REFINE_TOL
 ) -> OptimResult:
     """Single-shot classical capacity by direct maximization over populations.
 
@@ -229,7 +228,7 @@ def c1_via_optimization(
 
 
 def c1_lower_bounds(
-    eta: float, coarse_step: float = 1e-2, refine_tol: float = 1e-7
+    eta: float, coarse_step: float = COARSE_STEP, refine_tol: float = REFINE_TOL
 ) -> tuple[float, float]:
     """Best Holevo quantities of the product and entangled ensembles."""
     eta = _check_eta(eta)
@@ -240,7 +239,7 @@ def c1_lower_bounds(
 
 
 def q_capacity(
-    eta: float, coarse_step: float = 1e-2, refine_tol: float = 1e-7
+    eta: float, coarse_step: float = COARSE_STEP, refine_tol: float = REFINE_TOL
 ) -> OptimResult:
     """Quantum capacity.
 
@@ -256,7 +255,7 @@ def q_capacity(
 
 
 def ce_capacity(
-    eta: float, coarse_step: float = 1e-2, refine_tol: float = 1e-7
+    eta: float, coarse_step: float = COARSE_STEP, refine_tol: float = REFINE_TOL
 ) -> OptimResult:
     """Entanglement-assisted classical capacity: max quantum mutual information."""
     return _maximize(ce_value, _check_eta(eta), coarse_step, refine_tol)
@@ -295,7 +294,7 @@ class CapacityPoint:
 
 
 def capacity_point(
-    eta: float, coarse_step: float = 1e-2, refine_tol: float = 1e-7
+    eta: float, coarse_step: float = COARSE_STEP, refine_tol: float = REFINE_TOL
 ) -> CapacityPoint:
     """All sweep quantities at one transmissivity, computed in one pass."""
     eta = _check_eta(eta)
@@ -331,8 +330,6 @@ def capacity_point(
 class InequalityReport:
     """Sampled margins of a claimed inequality (margin = lhs - rhs >= 0)."""
 
-    name: str
-    n_samples: int
     min_margin: float
     equality_max_abs: float
     passed: bool
@@ -342,10 +339,7 @@ def _splitting_margin(a2, b2, d2, eta):
     # lhs: output entropy of the general state; rhs: weighted entropy of its
     # damped-block restriction.
     lhs = h2(0.5 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * (1.0 - eta) * d2 * (2.0 * b2 + eta * d2)))))
-    w = a2 + d2
-    safe = np.where(w > 0.0, w, 1.0)
-    rhs = w * h2(0.5 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * eta * (1.0 - eta) * (d2 / safe) ** 2))))
-    return lhs - rhs
+    return lhs - _pair_entropy(a2, d2, eta)
 
 
 def verify_state_splitting_inequality(
@@ -380,7 +374,7 @@ def verify_state_splitting_inequality(
     ]
     equality_max = float(max(np.max(np.abs(m)) for m in edge_margins))
     passed = min_margin >= -margin_tol and equality_max <= EQUALITY_TOL
-    return InequalityReport("state_splitting", n_samples, min_margin, equality_max, passed)
+    return InequalityReport(min_margin, equality_max, passed)
 
 
 def verify_entangled_pair_inequality(margin_tol: float = 1e-10) -> InequalityReport:
@@ -397,14 +391,13 @@ def verify_entangled_pair_inequality(margin_tol: float = 1e-10) -> InequalityRep
     min_margin = float(np.min(margins))
     equality_max = float(np.max(np.abs(margins[:, 0])))
     passed = min_margin >= -margin_tol and equality_max <= EQUALITY_TOL
-    return InequalityReport("entangled_pair", int(margins.size), min_margin, equality_max, passed)
+    return InequalityReport(min_margin, equality_max, passed)
 
 
 @dataclass(frozen=True)
 class SymmetrizationReport:
     """Holevo-quantity margins along the ensemble symmetrization chain."""
 
-    n_ensembles: int
     min_step_margins: dict[str, float]
     min_separable_gain: float
     passed: bool
@@ -426,21 +419,14 @@ def _random_separable_ensemble(rng, n_states: int = 4) -> Ensemble:
     return Ensemble(tuple(items))
 
 
-def _phase_flip_symmetrize(ens: Ensemble) -> Ensemble:
-    flips = [op.matrix for op in symmetry_ops() if op.name != "SWAP"]
+def _twirl(ens: Ensemble, names: tuple[str, ...]) -> Ensemble:
+    """Each state, then its images under the named symmetry_ops(), sharing its probability equally."""
+    ops = [op.matrix for op in symmetry_ops() if op.name in names]
+    n = len(ops) + 1
     items = []
     for p, s in ens.items:
-        items.append((p / 4.0, s))
-        items.extend((p / 4.0, u @ s) for u in flips)
-    return Ensemble(tuple(items))
-
-
-def _swap_symmetrize(ens: Ensemble) -> Ensemble:
-    swap = next(op.matrix for op in symmetry_ops() if op.name == "SWAP")
-    items = []
-    for p, s in ens.items:
-        items.append((p / 2.0, s))
-        items.append((p / 2.0, swap @ s))
+        items.append((p / n, s))
+        items.extend((p / n, u @ s) for u in ops)
     return Ensemble(tuple(items))
 
 
@@ -456,7 +442,7 @@ def _merge_offdiag(ens: Ensemble) -> Ensemble:
         merged = np.array([a, m, m, d], dtype=complex)
         merged /= np.linalg.norm(merged)
         items.append((p, merged))
-    return _phase_flip_symmetrize(Ensemble(tuple(items)))
+    return _twirl(Ensemble(tuple(items)), _FLIPS)
 
 
 def _replace_with_pairs(ens: Ensemble) -> Ensemble:
@@ -465,22 +451,16 @@ def _replace_with_pairs(ens: Ensemble) -> Ensemble:
     items: list[tuple[float, np.ndarray]] = []
     for p, s in ens.items:
         a, b, c, d = np.abs(s) ** 2
-        w = a + d
-        if w > 1e-15:
-            up = math.sqrt(a / w)
-            down = math.sqrt(d / w)
-            plus = up * basis_state(4, 0) + down * basis_state(4, 3)
-            minus = up * basis_state(4, 0) - down * basis_state(4, 3)
-            items.append((p * w / 2.0, plus))
-            items.append((p * w / 2.0, minus))
+        if a + d > 1e-15:
+            items.extend(_pair_items(p, a, d))
         items.append((p * b, basis_state(4, 1)))
         items.append((p * c, basis_state(4, 2)))
     return Ensemble(tuple(items))
 
 
 _CHAIN_STEPS = (
-    ("phase_flip", _phase_flip_symmetrize),
-    ("swap", _swap_symmetrize),
+    ("phase_flip", lambda ens: _twirl(ens, _FLIPS)),
+    ("swap", lambda ens: _twirl(ens, ("SWAP",))),
     ("offdiag_merge", _merge_offdiag),
     ("pair_replacement", _replace_with_pairs),
 )
@@ -513,9 +493,9 @@ def verify_symmetrization_chain(
         rng = np.random.default_rng(np.random.SeedSequence([seed, n_ensembles + k]))
         eta = float(rng.uniform(0.05, 0.95))
         ch = fc_channel(eta)
-        ens = _phase_flip_symmetrize(_random_separable_ensemble(rng))
+        ens = _twirl(_random_separable_ensemble(rng), _FLIPS)
         gain = holevo(ch, _replace_with_pairs(ens)) - holevo(ch, ens)
         min_gain = min(min_gain, gain)
 
     passed = all(m >= -tol for m in margins.values()) and min_gain > 0.0
-    return SymmetrizationReport(n_ensembles, margins, min_gain, passed)
+    return SymmetrizationReport(margins, min_gain, passed)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 from operator import attrgetter
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import capacities, covariance
 from .channels import check_composition
-from .optimizer import OptimResult, check_settings
+from .optimizer import COARSE_STEP, REFINE_TOL, OptimResult, check_settings
 
 __all__ = ["InvalidConfigError", "SweepConfig", "main"]
 
@@ -30,6 +31,8 @@ SUITES = ("covariance", "degradability", "inequalities", "symmetrization", "comp
 MAX_SWEEP_ROWS = 10_001
 # how far past eta_end the last grid point may land
 _ETA_SLACK = 1e-9
+# most samples a verify suite may draw; at the cap inequalities peaks near 200 MB
+MAX_SAMPLES = 1_000_000
 
 # (column, quantity group that switches it on or None if always emitted, CapacityPoint attribute path)
 _COLUMNS = (
@@ -66,8 +69,8 @@ class SweepConfig:
     eta_end: float = 1.0
     eta_step: float = 0.05
     quantities: tuple[str, ...] = QUANTITIES
-    coarse_step: float = 1e-2
-    refine_tol: float = 1e-7
+    coarse_step: float = COARSE_STEP
+    refine_tol: float = REFINE_TOL
     output_path: str | None = None
 
     def validate(self) -> "SweepConfig":
@@ -177,8 +180,7 @@ def cmd_point(args: argparse.Namespace) -> int:
     eta = args.eta
     if not 0.0 <= eta <= 1.0:
         raise InvalidConfigError(f"eta must be in [0, 1], got {eta}")
-    coarse = args.coarse_step if args.coarse_step is not None else 1e-2
-    refine = args.refine_tol if args.refine_tol is not None else 1e-7
+    coarse, refine = args.coarse_step, args.refine_tol
     check_settings(coarse, refine)
     # printed only once every value is in, so a rejected setting prints no partial report
     lines = [f"eta = {_fmt(eta)}", f"quantity = {args.quantity}"]
@@ -221,19 +223,21 @@ def _emit(name: str, passed: bool, margin: float) -> bool:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
-    seed = args.seed if args.seed is not None else 0
-    if args.samples is not None and args.samples < 1:
-        raise InvalidConfigError(f"samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise InvalidConfigError(f"seed must be nonnegative, got {args.seed}")
+    if args.samples is not None and not 1 <= args.samples <= MAX_SAMPLES:
+        raise InvalidConfigError(f"samples must be in [1, {MAX_SAMPLES}], got {args.samples}")
     if args.tol is not None and not 0.0 <= args.tol < math.inf:
         raise InvalidConfigError(f"tol must be finite and nonnegative, got {args.tol}")
+    # each suite draws its own default number of samples unless --samples is given
+    samples = () if args.samples is None else (args.samples,)
     ok = True
 
     if "covariance" in suites:
-        samples = args.samples if args.samples is not None else 100
         tol = args.tol if args.tol is not None else 1e-12
         for op in covariance.symmetry_ops():
             dev = max(
-                covariance.check_covariance(eta, op, samples, seed)
+                covariance.check_covariance(eta, op, *samples, seed=args.seed)
                 for eta in np.linspace(0.0, 1.0, 11)
             )
             ok &= _emit(f"covariance_{op.name}", dev < tol, dev)
@@ -243,41 +247,45 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ok &= _emit("kraus_commutation", cdev < ctol, cdev)
 
     if "degradability" in suites:
-        samples = args.samples if args.samples is not None else 100
         tol = args.tol if args.tol is not None else 1e-12
         dev = max(
-            covariance.check_degradability(eta, samples, seed)
+            covariance.check_degradability(eta, *samples, seed=args.seed)
             for eta in np.arange(0.50, 1.0 + 1e-9, 0.05)
         )
         ok &= _emit("degradability", dev < tol, dev)
 
     if "inequalities" in suites:
-        samples = args.samples if args.samples is not None else 100_000
         tol = args.tol if args.tol is not None else 1e-10
-        split = capacities.verify_state_splitting_inequality(samples, seed, margin_tol=tol)
+        split = capacities.verify_state_splitting_inequality(*samples, seed=args.seed, margin_tol=tol)
         ok &= _emit("state_splitting", split.passed, split.min_margin)
         pair = capacities.verify_entangled_pair_inequality(margin_tol=tol)
         ok &= _emit("entangled_pair", pair.passed, pair.min_margin)
 
     if "symmetrization" in suites:
-        samples = args.samples if args.samples is not None else 100
         tol = args.tol if args.tol is not None else 1e-10
-        chain = capacities.verify_symmetrization_chain(samples, seed, tol)
+        chain = capacities.verify_symmetrization_chain(*samples, seed=args.seed, tol=tol)
         worst = min(chain.min_step_margins.values())
         ok &= _emit("symmetrization_chain", all(m >= -tol for m in chain.min_step_margins.values()), worst)
         ok &= _emit("separable_gain", chain.min_separable_gain > 0.0, chain.min_separable_gain)
 
     if "composition" in suites:
-        samples = args.samples if args.samples is not None else 100
         tol = args.tol if args.tol is not None else 1e-12
-        dev = check_composition(samples, seed)
+        dev = check_composition(*samples, seed=args.seed)
         ok &= _emit("composition", dev < tol, dev)
 
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every float-looking token (-1e-05, -.5, -inf, -nan) as a value, not only plain negative decimals."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fcad",
         description="Capacities of the fully correlated two-qubit amplitude damping channel.",
     )
@@ -302,14 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
     point = sub.add_parser("point", help="report one quantity at one transmissivity")
     point.add_argument("--eta", type=float, required=True)
     point.add_argument("--quantity", choices=POINT_QUANTITIES, required=True)
-    point.add_argument("--coarse-step", type=float, default=None)
-    point.add_argument("--refine-tol", type=float, default=None)
+    point.add_argument("--coarse-step", type=float, default=COARSE_STEP)
+    point.add_argument("--refine-tol", type=float, default=REFINE_TOL)
     point.set_defaults(func=cmd_point)
 
     verify = sub.add_parser("verify", help="run a numerical verification suite")
     verify.add_argument("suite", choices=SUITES)
     verify.add_argument("--samples", type=int, default=None)
-    verify.add_argument("--seed", type=int, default=None)
+    verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--tol", type=float, default=None)
     verify.set_defaults(func=cmd_verify)
 

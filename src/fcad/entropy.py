@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import QuantumChannel, apply, complementary_output, fc_channel
-from .qmat import density_eigenvalues, kron, outer, purify
+from .qmat import density_eigenvalues, outer, purify
 
 __all__ = [
     "DomainError",
@@ -110,7 +110,7 @@ def entropy_exchange_purified(eta: float, rho) -> float:
     purification through the channel, and takes the global entropy.
     """
     psi = purify(np.asarray(rho, dtype=complex))
-    ops = tuple(kron(np.eye(4), k) for k in fc_channel(eta).kraus)
+    ops = tuple(np.kron(np.eye(4, dtype=complex), k) for k in fc_channel(eta).kraus)
     extended = QuantumChannel(ops, 16, 16)
     return vn_entropy(apply(extended, outer(psi)))
 

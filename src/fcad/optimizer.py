@@ -25,6 +25,9 @@ __all__ = [
 ]
 
 SIMPLEX_TOL = 1e-12
+# default simplex search settings: coarse grid step and the step at which refinement stops
+COARSE_STEP = 1e-2
+REFINE_TOL = 1e-7
 # finest coarse step accepted, the step of the flat-grid test oracle (about 5e7 points)
 MIN_COARSE_STEP = 1e-4
 _INV_PHI = (sqrt(5.0) - 1.0) / 2.0
@@ -104,7 +107,7 @@ def check_settings(coarse_step: float, refine_tol: float) -> None:
 
 
 def maximize_simplex(
-    objective, grid_objective, coarse_step: float = 1e-2, refine_tol: float = 1e-7
+    objective, grid_objective, coarse_step: float = COARSE_STEP, refine_tol: float = REFINE_TOL
 ) -> OptimResult:
     """Grid scan of the (alpha, delta) triangle followed by local refinement.
 

@@ -17,7 +17,6 @@ __all__ = [
     "dag",
     "density_eigenvalues",
     "hermitian_eigenvalues",
-    "kron",
     "max_abs_diff",
     "outer",
     "partial_trace",
@@ -41,14 +40,6 @@ class NonHermitianError(ValueError):
 
 class NotDensityMatrixError(ValueError):
     """A matrix fails the density-matrix checks (Hermitian, PSD, unit trace)."""
-
-
-def kron(*ops) -> np.ndarray:
-    """Tensor product of one or more matrices or vectors."""
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
-    return out
 
 
 def dag(a) -> np.ndarray:
@@ -151,7 +142,7 @@ def purify(rho) -> np.ndarray:
     psi = np.zeros(d * d, dtype=complex)
     for i in range(d):
         if w[i] > 0.0:
-            psi += np.sqrt(w[i]) * kron(basis_state(d, i), v[:, i])
+            psi += np.sqrt(w[i]) * np.kron(basis_state(d, i), v[:, i])
     return psi
 
 

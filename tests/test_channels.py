@@ -19,7 +19,6 @@ from fcad.qmat import (
     DimensionMismatchError,
     basis_state,
     hermitian_eigenvalues,
-    kron,
     max_abs_diff,
     outer,
     partial_trace,
@@ -129,7 +128,7 @@ class TestComplementaryOutput:
             ks = fc_channel(eta).kraus
             isometry = np.zeros((16, 4), dtype=complex)
             for env_index, k in zip((0, 3), ks):
-                isometry += kron(k, basis_state(4, env_index).reshape(4, 1))
+                isometry += np.kron(k, basis_state(4, env_index).reshape(4, 1))
             dilated = isometry @ rho @ isometry.conj().T
             assert max_abs_diff(
                 partial_trace(dilated, [4, 4], [1]), complementary_output(eta, rho)

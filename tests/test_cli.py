@@ -200,6 +200,19 @@ class TestPoint:
     def test_bad_eta(self, capsys):
         assert main(["point", "--eta", "1.2", "--quantity", "c1"]) == 2
 
+    # a float-looking token after a flag is its value, not an unknown option
+    @pytest.mark.parametrize(
+        "argv",
+        [["point", "--eta", "-1e-05", "--quantity", "c_ad1"], ["point", "--eta", "-inf", "--quantity", "c1"],
+         ["point", "--eta", "-nan", "--quantity", "q"], ["point", "--eta", "-.5", "--quantity", "ce"],
+         ["verify", "composition", "--tol", "-inf"], ["verify", "composition", "--tol", "-1e-05"]],
+    )
+    def test_negative_value_tokens_are_values(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_reports_match_pinned_output(self, capsys):
         """Every point report, pinned to the output of an earlier release."""
         for eta, quantity in [("0.7", q) for q in ("c1", "q", "ce", "bounds", "p_opt", "c_ad1")] + [("0.3", "q")]:
@@ -220,17 +233,20 @@ class TestPoint:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
-    @given(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)
+    @given(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_any_flag_values_finish_or_exit_2(self, eta, coarse, refine):
-        # c_ad1 runs no simplex search, so an accepted setting stays fast.  The
-        # values are attached with "=": argparse reads a separate "-inf" or
-        # "-1e-05" token as an unknown option, not as a value
-        argv = ["point", f"--eta={eta!r}", "--quantity", "c_ad1",
-                f"--coarse-step={coarse!r}", f"--refine-tol={refine!r}"]
+    def test_any_flag_values_finish_or_exit_2(self, eta, coarse, refine, attached):
+        # c_ad1 runs no simplex search, so an accepted setting stays fast.  Each
+        # value is passed either as "--flag=value" or as a separate token, where
+        # "-inf", "-nan" and "-1e-05" must still be read as values
+        flags = [("--eta", eta), ("--coarse-step", coarse), ("--refine-tol", refine)]
+        if attached:
+            argv = [f"{flag}={value!r}" for flag, value in flags]
+        else:
+            argv = [token for flag, value in flags for token in (flag, repr(value))]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            rc = main(argv)
+            rc = main(["point", "--quantity", "c_ad1", *argv])
         assert rc in (0, 2)
         if rc == 2:
             assert out.getvalue() == ""
@@ -275,6 +291,17 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "CHECK" not in captured.out
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["inequalities", "--samples", "1000000000"], "error: samples"),
+         (["all", "--samples", "1000001"], "error: samples"), (["covariance", "--seed", "-1"], "error: seed")],
+    )
+    def test_too_many_samples_or_negative_seed_is_config_error(self, argv, message, capsys):
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
     def test_bad_tol_is_config_error(self, tol, capsys):

@@ -64,7 +64,3 @@ class TestKrausCommutation:
         assert devs, "expected at least one relation"
         for name, dev in devs.items():
             assert dev < 1e-14, f"{name} deviates by {dev}"
-
-    def test_endpoint_etas(self):
-        devs = check_kraus_commutation(etas=(0.0, 1.0))
-        assert max(devs.values()) < 1e-14

@@ -14,7 +14,6 @@ from fcad.qmat import (
     basis_state,
     density_eigenvalues,
     hermitian_eigenvalues,
-    kron,
     max_abs_diff,
     outer,
     partial_trace,
@@ -24,26 +23,6 @@ from fcad.qmat import (
 )
 
 I2 = np.eye(2, dtype=complex)
-SZ = np.diag([1.0, -1.0]).astype(complex)
-
-
-class TestKron:
-    def test_identity_pair(self):
-        np.testing.assert_allclose(kron(I2, I2), np.eye(4))
-
-    def test_sz_times_identity(self):
-        np.testing.assert_allclose(kron(SZ, I2), np.diag([1.0, 1.0, -1.0, -1.0]))
-
-    def test_projector_placement(self):
-        """|0><0| x |1><1| has its single 1 at basis index |01>."""
-        p0 = outer(basis_state(2, 0))
-        p1 = outer(basis_state(2, 1))
-        expected = np.zeros((4, 4))
-        expected[1, 1] = 1.0
-        np.testing.assert_allclose(kron(p0, p1), expected)
-
-    def test_three_factors(self):
-        assert kron(I2, I2, I2).shape == (8, 8)
 
 
 class TestHermitianEigenvalues:
@@ -82,23 +61,23 @@ class TestHermitianEigenvalues:
 
 class TestPartialTrace:
     def test_product_state(self):
-        rho = outer(kron(basis_state(2, 0), basis_state(2, 0)))
+        rho = outer(np.kron(basis_state(2, 0), basis_state(2, 0)))
         np.testing.assert_allclose(partial_trace(rho, [2, 2], [0]), outer(basis_state(2, 0)))
 
     def test_dilated_full_decay_state(self):
         """Tracing the environment of the dilated |11> evolution gives
         (1-eta)|00><00| + eta|11><11|."""
         eta = 0.3
-        psi = math.sqrt(eta) * kron(basis_state(4, 3), basis_state(4, 0)) + math.sqrt(
+        psi = math.sqrt(eta) * np.kron(basis_state(4, 3), basis_state(4, 0)) + math.sqrt(
             1.0 - eta
-        ) * kron(basis_state(4, 0), basis_state(4, 3))
+        ) * np.kron(basis_state(4, 0), basis_state(4, 3))
         reduced = partial_trace(outer(psi), [4, 4], [0])
         expected = np.diag([1.0 - eta, 0.0, 0.0, eta])
         np.testing.assert_allclose(reduced, expected, atol=1e-12)
 
     def test_maximally_entangled_marginal(self):
         d = 4
-        psi = sum(kron(basis_state(d, i), basis_state(d, i)) for i in range(d)) / 2.0
+        psi = sum(np.kron(basis_state(d, i), basis_state(d, i)) for i in range(d)) / 2.0
         np.testing.assert_allclose(partial_trace(outer(psi), [4, 4], [1]), np.eye(4) / 4, atol=1e-12)
 
     def test_trace_preserved(self):
