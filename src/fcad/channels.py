@@ -61,10 +61,9 @@ class QuantumChannel:
                     f"Kraus operator shape {k.shape} does not match "
                     f"({self.dim_out}, {self.dim_in})"
                 )
-        acc = np.zeros((self.dim_in, self.dim_in), dtype=complex)
-        for k in ops:
-            acc += dag(k) @ k
-        if max_abs_diff(acc, np.eye(self.dim_in)) > COMPLETENESS_TOL:
+        acc = sum((dag(k) @ k for k in ops), np.zeros((self.dim_in, self.dim_in)))
+        # written so that a NaN entry fails it
+        if not (max_abs_diff(acc, np.eye(self.dim_in)) <= COMPLETENESS_TOL):
             raise ValueError("Kraus operators do not satisfy the completeness relation")
 
 
@@ -78,16 +77,13 @@ def fc_channel(eta: float) -> QuantumChannel:
 
 
 def apply(ch: QuantumChannel, rho) -> np.ndarray:
-    """Channel action sum_i K_i rho K_i^dag."""
+    """Channel action sum_i K_i rho K_i^dag, on one matrix or each of a (..., d, d) stack."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ch.dim_in, ch.dim_in):
+    if rho.shape[-2:] != (ch.dim_in, ch.dim_in):
         raise DimensionMismatchError(
             f"state shape {rho.shape} does not match channel input dimension {ch.dim_in}"
         )
-    out = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
-    for k in ch.kraus:
-        out += k @ rho @ dag(k)
-    return out
+    return sum(k @ rho @ dag(k) for k in ch.kraus)
 
 
 def compose(after: QuantumChannel, before: QuantumChannel) -> QuantumChannel:

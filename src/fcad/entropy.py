@@ -54,48 +54,46 @@ def h2(x):
     return -xlog2(arr) - xlog2(1.0 - arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Finite ensemble of pure two-qubit states with probabilities."""
+    """Finite ensemble of pure two-qubit states: (N,) probabilities and (N, 4) state vectors."""
 
-    items: tuple[tuple[float, np.ndarray], ...]
+    probs: np.ndarray
+    states: np.ndarray
 
     def __post_init__(self):
-        items = tuple((float(p), np.asarray(s, dtype=complex)) for p, s in self.items)
-        object.__setattr__(self, "items", items)
-        probs = np.array([p for p, _ in items])
+        probs = np.asarray(self.probs, dtype=float)
+        states = np.asarray(self.states, dtype=complex)
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "states", states)
+        # each check is written so that NaN fails it
         if probs.size == 0:
             raise ValueError("ensemble must contain at least one state")
-        if np.any(probs < -PROB_TOL):
+        if probs.ndim != 1 or states.shape != (probs.size, 4):
+            raise ValueError("ensemble states must be two-qubit state vectors")
+        if not np.all(probs >= -PROB_TOL):
             raise ValueError("ensemble probabilities must be nonnegative")
-        if abs(probs.sum() - 1.0) > PROB_TOL:
+        if not (abs(probs.sum() - 1.0) <= PROB_TOL):
             raise ValueError(f"ensemble probabilities must sum to 1, got {probs.sum()}")
-        for _, s in items:
-            if s.shape != (4,):
-                raise ValueError("ensemble states must be two-qubit state vectors")
-            if abs(np.linalg.norm(s) - 1.0) > NORM_TOL:
-                raise ValueError("ensemble states must be normalized")
+        if not np.all(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= NORM_TOL):
+            raise ValueError("ensemble states must be normalized")
 
     def average_state(self) -> np.ndarray:
-        rho = np.zeros((4, 4), dtype=complex)
-        for p, s in self.items:
-            rho += p * outer(s)
-        return rho
+        return np.einsum("n,ni,nj->ij", self.probs, self.states, self.states.conj())
 
 
-def vn_entropy(rho) -> float:
-    """Von Neumann entropy in bits."""
-    return float(-np.sum(xlog2(density_eigenvalues(rho))))
+def vn_entropy(rho):
+    """Von Neumann entropy in bits: a float for one matrix, an array for a (..., d, d) stack."""
+    s = -np.sum(xlog2(density_eigenvalues(rho)), axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def holevo(ch: QuantumChannel, ens: Ensemble) -> float:
-    """Output entropy of the mean state minus the mean output entropy."""
-    avg = vn_entropy(apply(ch, ens.average_state()))
-    conditional = 0.0
-    for p, s in ens.items:
-        if p > 0.0:
-            conditional += p * vn_entropy(apply(ch, outer(s)))
-    return avg - conditional
+    """Output entropy of the mean state minus the mean output entropy, as one stack of outputs."""
+    used = ens.probs > 0.0
+    stack = np.concatenate([ens.average_state()[None], outer(ens.states[used])])
+    entropies = vn_entropy(apply(ch, stack))
+    return float(entropies[0] - ens.probs[used] @ entropies[1:])
 
 
 def entropy_exchange(eta: float, rho) -> float:

@@ -48,12 +48,13 @@ class SimplexPoint:
     delta: float
 
     def __post_init__(self):
+        # each check is written so that NaN fails it
         for name in ("alpha", "beta", "delta"):
             value = getattr(self, name)
-            if value < -SIMPLEX_TOL:
+            if not (value >= -SIMPLEX_TOL):
                 raise ValueError(f"{name} must be nonnegative, got {value}")
         total = self.alpha + 2.0 * self.beta + self.delta
-        if abs(total - 1.0) > SIMPLEX_TOL:
+        if not (abs(total - 1.0) <= SIMPLEX_TOL):
             raise ValueError(f"populations must satisfy alpha + 2 beta + delta = 1, got {total}")
 
     @classmethod

@@ -1,8 +1,8 @@
 """Small dense complex linear algebra for two-qubit channel calculations.
 
-States are 1-D complex numpy arrays, operators and density matrices are
-square 2-D complex numpy arrays.  All dimensions stay tiny (at most 32),
-so everything is dense and eager.
+States are 1-D complex numpy arrays, operators and density matrices square
+2-D ones, or stacks of either along leading axes.  All dimensions stay tiny
+(at most 32), so everything is dense and eager.
 """
 
 from __future__ import annotations
@@ -43,14 +43,14 @@ class NotDensityMatrixError(ValueError):
 
 
 def dag(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(a)).T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.conj(np.swapaxes(np.asarray(a), -1, -2))
 
 
 def outer(psi) -> np.ndarray:
-    """Projector |psi><psi| of a state vector."""
+    """Projector |psi><psi| of a state vector, or of each vector in a stack."""
     psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
+    return psi[..., :, None] * psi[..., None, :].conj()
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:
@@ -82,23 +82,24 @@ def hermitian_eigenvalues(h, tol: float = HERMITIAN_TOL) -> np.ndarray:
 
 
 def density_eigenvalues(rho) -> np.ndarray:
-    """Validate a density matrix and return its eigenvalues, descending.
+    """Validate a density matrix, or every matrix of a (..., d, d) stack, and
+    return the eigenvalues along the last axis, descending.
 
     Eigenvalues a rounding error away from [0, 1] are clamped onto the
-    boundary; anything below -1e-9 means the input is genuinely not
-    positive and raises instead of being masked.
+    boundary; anything below -1e-9, or a NaN entry, raises instead of being masked.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise NotDensityMatrixError(f"expected a square matrix, got shape {rho.shape}")
-    if max_abs_diff(rho, dag(rho)) > HERMITIAN_TOL:
+    if not (max_abs_diff(rho, dag(rho)) <= HERMITIAN_TOL):
         raise NotDensityMatrixError("density matrix must be Hermitian")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise NotDensityMatrixError(f"density matrix must have unit trace, got {tr}")
-    eigs = np.linalg.eigvalsh(rho)[::-1]
-    if eigs[-1] < NEGATIVE_EIG_TOL:
-        raise NotDensityMatrixError(f"density matrix has negative eigenvalue {eigs[-1]}")
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    off = ~(np.abs(tr - 1.0) <= TRACE_TOL)
+    if np.any(off):
+        raise NotDensityMatrixError(f"density matrix must have unit trace, got {complex(tr[off].flat[0])}")
+    eigs = np.linalg.eigvalsh(rho)[..., ::-1]
+    if not np.all(eigs[..., -1] >= NEGATIVE_EIG_TOL):
+        raise NotDensityMatrixError(f"density matrix has negative eigenvalue {np.min(eigs[..., -1])}")
     return np.clip(eigs, 0.0, 1.0)
 
 

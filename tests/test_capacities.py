@@ -304,7 +304,7 @@ class TestInequalityVerifiers:
 class TestSymmetrizationChain:
     def test_chain_never_decreases(self):
         report = verify_symmetrization_chain(40, seed=0)
-        assert report.passed
+        assert report.chain_passed and report.gain_passed
         assert all(m >= -1e-10 for m in report.min_step_margins.values())
 
     def test_separable_ensembles_gain_strictly(self):

@@ -19,7 +19,7 @@ from fcad.entropy import (
     vn_entropy,
     xlog2,
 )
-from fcad.qmat import NotDensityMatrixError, basis_state, outer, random_density, random_pure
+from fcad.qmat import NotDensityMatrixError, basis_state, density_eigenvalues, outer, random_density, random_pure
 
 LOG2_3 = math.log2(3.0)
 
@@ -81,40 +81,95 @@ class TestVnEntropy:
 
 class TestEnsemble:
     def test_average_state(self):
-        ens = Ensemble(((0.5, basis_state(4, 0)), (0.5, basis_state(4, 3))))
+        ens = Ensemble([0.5, 0.5], [basis_state(4, 0), basis_state(4, 3)])
         np.testing.assert_allclose(ens.average_state(), np.diag([0.5, 0.0, 0.0, 0.5]))
 
     def test_rejects_bad_probabilities(self):
         with pytest.raises(ValueError):
-            Ensemble(((0.7, basis_state(4, 0)), (0.7, basis_state(4, 1))))
+            Ensemble([0.7, 0.7], [basis_state(4, 0), basis_state(4, 1)])
 
     def test_rejects_unnormalized_state(self):
         with pytest.raises(ValueError):
-            Ensemble(((1.0, 2.0 * basis_state(4, 0)),))
+            Ensemble([1.0], [2.0 * basis_state(4, 0)])
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
-            Ensemble(((1.0, basis_state(2, 0)),))
+            Ensemble([1.0], [basis_state(2, 0)])
 
 
 class TestHolevo:
     def test_noiseless_orthonormal(self):
-        ens = Ensemble(tuple((0.25, basis_state(4, i)) for i in range(4)))
+        ens = Ensemble(np.full(4, 0.25), np.eye(4))
         assert abs(holevo(fc_channel(1.0), ens) - 2.0) < 1e-12
 
     @pytest.mark.parametrize("eta", [0.0, 0.35, 1.0])
     def test_noiseless_triple(self, eta):
         """The three undamped basis states give log2(3) at any transmissivity."""
-        ens = Ensemble(tuple((1.0 / 3.0, basis_state(4, i)) for i in range(3)))
+        ens = Ensemble(np.full(3, 1.0 / 3.0), np.eye(4)[:3])
         assert abs(holevo(fc_channel(eta), ens) - LOG2_3) < 1e-12
 
     def test_nonnegative_and_bounded(self):
         for i in range(20):
             rng = np.random.default_rng(np.random.SeedSequence([13, i]))
             probs = rng.dirichlet(np.ones(3))
-            ens = Ensemble(tuple((float(p), random_pure(4, rng)) for p in probs))
+            ens = Ensemble(probs, [random_pure(4, rng) for _ in probs])
             chi = holevo(fc_channel(float(rng.uniform())), ens)
             assert -1e-10 <= chi <= 2.0 + 1e-10
+
+
+def random_stack(seed, n=30):
+    rng = np.random.default_rng(seed)
+    return np.array([random_density(4, rng) for _ in range(n)])
+
+
+class TestStackedPath:
+    """apply, density_eigenvalues and vn_entropy take a (N, 4, 4) stack and
+    give what they give on each member alone."""
+
+    def test_stack_matches_members(self):
+        ch = fc_channel(0.37)
+        stack = random_stack(53)
+        out = apply(ch, stack)
+        eigs = density_eigenvalues(out)
+        entropies = vn_entropy(out)
+        assert out.shape == (30, 4, 4) and eigs.shape == (30, 4) and entropies.shape == (30,)
+        for k, rho in enumerate(stack):
+            np.testing.assert_allclose(out[k], apply(ch, rho), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(eigs[k], density_eigenvalues(out[k]), rtol=0, atol=1e-15)
+            assert abs(entropies[k] - vn_entropy(out[k])) < 1e-14
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[0.5, 0.1], [0.0, 0.5]]),  # not Hermitian
+            np.diag([1.5, -0.5]),  # negative eigenvalue
+            np.eye(2),  # trace 2
+        ],
+    )
+    def test_one_bad_member_fails_the_stack(self, bad):
+        stack = random_stack(59, 5)
+        stack[3] = np.zeros((4, 4))
+        stack[3][:2, :2] = bad
+        with pytest.raises(NotDensityMatrixError):
+            density_eigenvalues(stack)
+        with pytest.raises(NotDensityMatrixError):
+            vn_entropy(stack)
+
+    def test_holevo_matches_per_state_loop(self):
+        for i in range(50):
+            rng = np.random.default_rng(np.random.SeedSequence([61, i]))
+            ch = fc_channel(float(rng.uniform()))
+            probs = rng.dirichlet(np.ones(6))
+            probs[rng.uniform(size=6) < 0.3] = 0.0
+            if probs.sum() == 0.0:
+                probs[0] = 1.0
+            probs /= probs.sum()
+            states = [random_pure(4, rng) for _ in probs]
+            avg = sum(p * outer(s) for p, s in zip(probs, states))
+            oracle = vn_entropy(apply(ch, avg)) - sum(
+                p * vn_entropy(apply(ch, outer(s))) for p, s in zip(probs, states) if p > 0.0
+            )
+            assert abs(holevo(ch, Ensemble(probs, states)) - oracle) < 1e-12
 
 
 class TestEntropyExchange:
@@ -211,11 +266,9 @@ class TestSymmetrizedHolevo:
             eta = float(rng.uniform())
             probs = rng.dirichlet(np.ones(4))
             states = [random_pure(4, rng) for _ in probs]
-            ens = Ensemble(tuple((float(p), s) for p, s in zip(probs, states)))
-            items = []
-            for p, s in ens.items:
-                items.append((p / 4.0, s))
-                items.extend((p / 4.0, u @ s) for u in flips)
-            symmetrized = Ensemble(tuple(items))
+            ens = Ensemble(probs, states)
+            symmetrized = Ensemble(
+                np.repeat(probs / 4.0, 4), [v for s in states for v in [s] + [u @ s for u in flips]]
+            )
             ch = fc_channel(eta)
             assert holevo(ch, symmetrized) >= holevo(ch, ens) - 1e-10

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 import fcad
@@ -13,3 +16,21 @@ def test_package_exports_each_module_all(module):
 def test_removed_names_are_gone():
     assert not hasattr(fcad, "kron")
     assert not hasattr(qmat, "kron")
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: optimizer.SimplexPoint(math.nan, 0.5, 0.0), ValueError, "alpha must be nonnegative"),
+        (lambda: optimizer.SimplexPoint(0.5, 0.25, math.nan), ValueError, "delta must be nonnegative"),
+        (lambda: channels.QuantumChannel((np.full((2, 2), np.nan),), 2, 2), ValueError, "completeness"),
+        (lambda: entropy.Ensemble([1.0], [[np.nan, 0.0, 0.0, 0.0]]), ValueError, "normalized"),
+        (lambda: entropy.Ensemble([np.nan], [[1.0, 0.0, 0.0, 0.0]]), ValueError, "nonnegative"),
+        (lambda: qmat.density_eigenvalues(np.full((4, 4), np.nan)), qmat.NotDensityMatrixError, "Hermitian"),
+    ],
+    ids=["simplex_alpha", "simplex_delta", "channel", "ensemble_state", "ensemble_prob", "density"],
+)
+def test_validators_reject_nan(build, error, message):
+    """Each check fails on NaN instead of letting it through."""
+    with pytest.raises(error, match=message):
+        build()
