@@ -22,7 +22,7 @@ import numpy as np
 from .channels import _check_eta, fc_channel
 from .covariance import symmetry_ops
 from .entropy import Ensemble, h2, holevo, xlog2
-from .optimizer import COARSE_STEP, REFINE_TOL, OptimResult, SimplexPoint, maximize_1d, maximize_simplex
+from .optimizer import OptimResult, SimplexPoint, maximize_1d, maximize_simplex
 from .qmat import random_pure
 
 __all__ = [
@@ -55,6 +55,8 @@ __all__ = [
 LOG2_3 = math.log2(3.0)
 # largest |margin| the inequality verifiers accept where equality is expected
 EQUALITY_TOL = 1e-12
+# most negative margin the inequality verifiers and each symmetrization step accept
+MARGIN_TOL = 1e-10
 # the three sign flips among symmetry_ops()
 _FLIPS = ("R1", "R2", "R3")
 
@@ -156,14 +158,9 @@ def entanglement_B(pt: SimplexPoint) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _maximize(value, eta: float, coarse_step: float, refine_tol: float) -> OptimResult:
+def _maximize(value, eta: float) -> OptimResult:
     """Maximize ``value(alpha, delta, eta)`` over the diagonal input simplex."""
-    return maximize_simplex(
-        lambda pt: float(value(pt.alpha, pt.delta, eta)),
-        lambda a, d: value(a, d, eta),
-        coarse_step,
-        refine_tol,
-    )
+    return maximize_simplex(lambda pt: float(value(pt.alpha, pt.delta, eta)), lambda a, d: value(a, d, eta))
 
 
 def c_ad1_search(eta: float) -> OptimResult:
@@ -213,31 +210,22 @@ def c1(eta: float) -> OptimResult:
     return _c1_from_search(c_ad1_search(eta))
 
 
-def c1_via_optimization(
-    eta: float, coarse_step: float = COARSE_STEP, refine_tol: float = REFINE_TOL
-) -> OptimResult:
+def c1_via_optimization(eta: float) -> OptimResult:
     """Single-shot classical capacity by direct maximization over populations.
 
     At eta = 0 the maximizer is degenerate (only alpha + delta = 1/3 is
     pinned down); the first point found in scan order is reported.
     """
-    return _maximize(chi_b_value, _check_eta(eta), coarse_step, refine_tol)
+    return _maximize(chi_b_value, _check_eta(eta))
 
 
-def c1_lower_bounds(
-    eta: float, coarse_step: float = COARSE_STEP, refine_tol: float = REFINE_TOL
-) -> tuple[float, float]:
+def c1_lower_bounds(eta: float) -> tuple[float, float]:
     """Best Holevo quantities of the product and entangled ensembles."""
     eta = _check_eta(eta)
-    return (
-        _maximize(chi_a_value, eta, coarse_step, refine_tol).value,
-        _maximize(chi_b_value, eta, coarse_step, refine_tol).value,
-    )
+    return _maximize(chi_a_value, eta).value, _maximize(chi_b_value, eta).value
 
 
-def q_capacity(
-    eta: float, coarse_step: float = COARSE_STEP, refine_tol: float = REFINE_TOL
-) -> OptimResult:
+def q_capacity(eta: float) -> OptimResult:
     """Quantum capacity.
 
     For eta >= 1/2 the channel is degradable and the capacity is the
@@ -248,14 +236,12 @@ def q_capacity(
     eta = _check_eta(eta)
     if eta < 0.5:
         return OptimResult(LOG2_3, SimplexPoint(1.0 / 3.0, 1.0 / 3.0, 0.0), 0, 0.0)
-    return _maximize(q_value, eta, coarse_step, refine_tol)
+    return _maximize(q_value, eta)
 
 
-def ce_capacity(
-    eta: float, coarse_step: float = COARSE_STEP, refine_tol: float = REFINE_TOL
-) -> OptimResult:
+def ce_capacity(eta: float) -> OptimResult:
     """Entanglement-assisted classical capacity: max quantum mutual information."""
-    return _maximize(ce_value, _check_eta(eta), coarse_step, refine_tol)
+    return _maximize(ce_value, _check_eta(eta))
 
 
 @dataclass(frozen=True)
@@ -290,16 +276,14 @@ class CapacityPoint:
         return self.c1_opt
 
 
-def capacity_point(
-    eta: float, coarse_step: float = COARSE_STEP, refine_tol: float = REFINE_TOL
-) -> CapacityPoint:
+def capacity_point(eta: float) -> CapacityPoint:
     """All sweep quantities at one transmissivity, computed in one pass."""
     eta = _check_eta(eta)
     search = c_ad1_search(eta)
-    opt = c1_via_optimization(eta, coarse_step, refine_tol)
-    lb1 = _maximize(chi_a_value, eta, coarse_step, refine_tol).value
-    qr = q_capacity(eta, coarse_step, refine_tol)
-    cer = ce_capacity(eta, coarse_step, refine_tol)
+    opt = c1_via_optimization(eta)
+    lb1 = _maximize(chi_a_value, eta).value
+    qr = q_capacity(eta)
+    cer = ce_capacity(eta)
     e_phi, e_avg = entanglement_B(opt.point)
     return CapacityPoint(
         eta=eta,
@@ -339,9 +323,7 @@ def _splitting_margin(a2, b2, d2, eta):
     return lhs - _pair_entropy(a2, d2, eta)
 
 
-def verify_state_splitting_inequality(
-    n_samples: int = 100_000, seed: int = 0, margin_tol: float = 1e-10
-) -> InequalityReport:
+def verify_state_splitting_inequality(n_samples: int = 100_000, seed: int = 0) -> InequalityReport:
     """Check that restricting any admissible state to the damped block never
     raises the average output entropy.
 
@@ -370,11 +352,11 @@ def verify_state_splitting_inequality(
         _splitting_margin(a2[:n_edge] + d2[:n_edge], b2[:n_edge], np.zeros(n_edge), eta_edge),
     ]
     equality_max = float(max(np.max(np.abs(m)) for m in edge_margins))
-    passed = min_margin >= -margin_tol and equality_max <= EQUALITY_TOL
+    passed = min_margin >= -MARGIN_TOL and equality_max <= EQUALITY_TOL
     return InequalityReport(min_margin, equality_max, passed)
 
 
-def verify_entangled_pair_inequality(margin_tol: float = 1e-10) -> InequalityReport:
+def verify_entangled_pair_inequality() -> InequalityReport:
     """Check H2(eta) >= x H2((1 + sqrt(1 - 4 eta (1-eta)/x^2))/2) for x >= 1.
 
     This is the bound that makes replacing the damped-block product pair by
@@ -387,7 +369,7 @@ def verify_entangled_pair_inequality(margin_tol: float = 1e-10) -> InequalityRep
     margins = h2(eta) - x * h2(0.5 * (1.0 + root))
     min_margin = float(np.min(margins))
     equality_max = float(np.max(np.abs(margins[:, 0])))
-    passed = min_margin >= -margin_tol and equality_max <= EQUALITY_TOL
+    passed = min_margin >= -MARGIN_TOL and equality_max <= EQUALITY_TOL
     return InequalityReport(min_margin, equality_max, passed)
 
 
@@ -397,22 +379,22 @@ class SymmetrizationReport:
 
     min_step_margins: dict[str, float]
     min_separable_gain: float
-    # every step margin at least -tol; every separable ensemble gains strictly
+    # every step margin at least -MARGIN_TOL; every separable ensemble gains strictly
     chain_passed: bool
     gain_passed: bool
 
 
-def _random_ensemble(rng, n_states: int = 4) -> Ensemble:
-    probs = rng.dirichlet(np.ones(n_states))
+def _random_ensemble(rng) -> Ensemble:
+    probs = rng.dirichlet(np.ones(4))
     return Ensemble(probs, [random_pure(4, rng) for _ in probs])
 
 
-def _random_separable_ensemble(rng, n_states: int = 4) -> Ensemble:
-    probs = rng.dirichlet(np.ones(n_states))
-    g, hh = rng.uniform(0.2, 0.98, size=(n_states, 2)).T
+def _random_separable_ensemble(rng) -> Ensemble:
+    probs = rng.dirichlet(np.ones(4))
+    g, hh = rng.uniform(0.2, 0.98, size=(4, 2)).T
     one = np.stack([g, np.sqrt(1.0 - g * g)], axis=1)
     two = np.stack([hh, np.sqrt(1.0 - hh * hh)], axis=1)
-    return Ensemble(probs, (one[:, :, None] * two[:, None, :]).reshape(n_states, 4))
+    return Ensemble(probs, (one[:, :, None] * two[:, None, :]).reshape(4, 4))
 
 
 def _twirl(ens: Ensemble, names: tuple[str, ...]) -> Ensemble:
@@ -453,9 +435,7 @@ _CHAIN_STEPS = (
 )
 
 
-def verify_symmetrization_chain(
-    n_ensembles: int = 100, seed: int = 0, tol: float = 1e-10
-) -> SymmetrizationReport:
+def verify_symmetrization_chain(n_ensembles: int = 100, seed: int = 0) -> SymmetrizationReport:
     """Push random ensembles through the symmetrization chain and check the
     Holevo quantity never drops at any step.
 
@@ -484,4 +464,4 @@ def verify_symmetrization_chain(
         gain = holevo(ch, _replace_with_pairs(ens)) - holevo(ch, ens)
         min_gain = min(min_gain, gain)
 
-    return SymmetrizationReport(margins, min_gain, all(m >= -tol for m in margins.values()), min_gain > 0.0)
+    return SymmetrizationReport(margins, min_gain, all(m >= -MARGIN_TOL for m in margins.values()), min_gain > 0.0)

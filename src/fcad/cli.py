@@ -19,7 +19,7 @@ import numpy as np
 
 from . import capacities, covariance
 from .channels import check_composition
-from .optimizer import COARSE_STEP, REFINE_TOL, OptimResult, check_settings
+from .optimizer import OptimResult
 
 __all__ = ["InvalidConfigError", "SweepConfig", "main"]
 
@@ -33,6 +33,10 @@ MAX_SWEEP_ROWS = 10_001
 _ETA_SLACK = 1e-9
 # most samples a verify suite may draw; at the cap inequalities peaks near 200 MB
 MAX_SAMPLES = 1_000_000
+# largest deviation the covariance, degradability and composition checks pass
+DEVIATION_TOL = 1e-12
+# largest deviation the Kraus commutation relations pass
+KRAUS_TOL = 1e-14
 
 # (column, quantity group that switches it on or None if always emitted, CapacityPoint attribute path)
 _COLUMNS = (
@@ -69,8 +73,6 @@ class SweepConfig:
     eta_end: float = 1.0
     eta_step: float = 0.05
     quantities: tuple[str, ...] = QUANTITIES
-    coarse_step: float = COARSE_STEP
-    refine_tol: float = REFINE_TOL
     output_path: str | None = None
 
     def validate(self) -> "SweepConfig":
@@ -106,8 +108,6 @@ _FIELDS = {
     "eta_end": float,
     "eta_step": float,
     "quantities": _parse_quantities,
-    "coarse_step": float,
-    "refine_tol": float,
     "output_path": str,
 }
 
@@ -163,7 +163,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     columns = [(name, attrgetter(path)) for name, group, path in _COLUMNS if group is None or group in selected]
     lines = [",".join(name for name, _ in columns)]
     for eta in _eta_grid(cfg):
-        pt = capacities.capacity_point(eta, cfg.coarse_step, cfg.refine_tol)
+        pt = capacities.capacity_point(eta)
         lines.append(",".join(_fmt(value(pt)) for _, value in columns))
     text = "\n".join(lines) + "\n"
     if cfg.output_path is None:
@@ -180,22 +180,19 @@ def cmd_point(args: argparse.Namespace) -> int:
     eta = args.eta
     if not 0.0 <= eta <= 1.0:
         raise InvalidConfigError(f"eta must be in [0, 1], got {eta}")
-    coarse, refine = args.coarse_step, args.refine_tol
-    check_settings(coarse, refine)
-    # printed only once every value is in, so a rejected setting prints no partial report
     lines = [f"eta = {_fmt(eta)}", f"quantity = {args.quantity}"]
     if args.quantity == "c1":
         closed = capacities.c1(eta)
-        opt = capacities.c1_via_optimization(eta, coarse, refine)
+        opt = capacities.c1_via_optimization(eta)
         lines += [f"value = {_fmt(closed.value)}", f"optimized = {_fmt(opt.value)}", *_point_lines(opt)]
     elif args.quantity == "q":
-        res = capacities.q_capacity(eta, coarse, refine)
+        res = capacities.q_capacity(eta)
         lines += [f"value = {_fmt(res.value)}", *_point_lines(res)]
     elif args.quantity == "ce":
-        res = capacities.ce_capacity(eta, coarse, refine)
+        res = capacities.ce_capacity(eta)
         lines += [f"value = {_fmt(res.value)}", *_point_lines(res)]
     elif args.quantity == "bounds":
-        lb1, lb2 = capacities.c1_lower_bounds(eta, coarse, refine)
+        lb1, lb2 = capacities.c1_lower_bounds(eta)
         lines += [f"chi_lb1 = {_fmt(lb1)}", f"chi_lb2 = {_fmt(lb2)}"]
     elif args.quantity == "p_opt":
         lines.append(f"value = {_fmt(capacities.p_opt(eta))}")
@@ -227,50 +224,42 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise InvalidConfigError(f"seed must be nonnegative, got {args.seed}")
     if args.samples is not None and not 1 <= args.samples <= MAX_SAMPLES:
         raise InvalidConfigError(f"samples must be in [1, {MAX_SAMPLES}], got {args.samples}")
-    if args.tol is not None and not 0.0 <= args.tol < math.inf:
-        raise InvalidConfigError(f"tol must be finite and nonnegative, got {args.tol}")
     # each suite draws its own default number of samples unless --samples is given
     samples = () if args.samples is None else (args.samples,)
     ok = True
 
     if "covariance" in suites:
-        tol = args.tol if args.tol is not None else 1e-12
         for op in covariance.symmetry_ops():
             dev = max(
                 covariance.check_covariance(eta, op, *samples, seed=args.seed)
                 for eta in np.linspace(0.0, 1.0, 11)
             )
-            ok &= _emit(f"covariance_{op.name}", dev < tol, dev)
+            ok &= _emit(f"covariance_{op.name}", dev < DEVIATION_TOL, dev)
         commutation = covariance.check_kraus_commutation()
         cdev = max(commutation.values())
-        ctol = args.tol if args.tol is not None else 1e-14
-        ok &= _emit("kraus_commutation", cdev < ctol, cdev)
+        ok &= _emit("kraus_commutation", cdev < KRAUS_TOL, cdev)
 
     if "degradability" in suites:
-        tol = args.tol if args.tol is not None else 1e-12
         dev = max(
             covariance.check_degradability(eta, *samples, seed=args.seed)
             for eta in np.arange(0.50, 1.0 + 1e-9, 0.05)
         )
-        ok &= _emit("degradability", dev < tol, dev)
+        ok &= _emit("degradability", dev < DEVIATION_TOL, dev)
 
     if "inequalities" in suites:
-        tol = args.tol if args.tol is not None else 1e-10
-        split = capacities.verify_state_splitting_inequality(*samples, seed=args.seed, margin_tol=tol)
+        split = capacities.verify_state_splitting_inequality(*samples, seed=args.seed)
         ok &= _emit("state_splitting", split.passed, split.min_margin)
-        pair = capacities.verify_entangled_pair_inequality(margin_tol=tol)
+        pair = capacities.verify_entangled_pair_inequality()
         ok &= _emit("entangled_pair", pair.passed, pair.min_margin)
 
     if "symmetrization" in suites:
-        tol = args.tol if args.tol is not None else 1e-10
-        chain = capacities.verify_symmetrization_chain(*samples, seed=args.seed, tol=tol)
+        chain = capacities.verify_symmetrization_chain(*samples, seed=args.seed)
         ok &= _emit("symmetrization_chain", chain.chain_passed, min(chain.min_step_margins.values()))
         ok &= _emit("separable_gain", chain.gain_passed, chain.min_separable_gain)
 
     if "composition" in suites:
-        tol = args.tol if args.tol is not None else 1e-12
         dev = check_composition(*samples, seed=args.seed)
-        ok &= _emit("composition", dev < tol, dev)
+        ok &= _emit("composition", dev < DEVIATION_TOL, dev)
 
     return 0 if ok else 1
 
@@ -300,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"comma separated subset of {{{','.join(QUANTITIES)}}} or 'all'",
     )
-    sweep.add_argument("--coarse-step", type=float, default=None)
-    sweep.add_argument("--refine-tol", type=float, default=None)
     sweep.add_argument("--out", dest="output_path", type=str, default=None, help="output CSV path (default: stdout)")
     sweep.add_argument("--config", type=str, default=None, help="key = value config file; flags win")
     sweep.set_defaults(func=cmd_sweep)
@@ -309,15 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     point = sub.add_parser("point", help="report one quantity at one transmissivity")
     point.add_argument("--eta", type=float, required=True)
     point.add_argument("--quantity", choices=POINT_QUANTITIES, required=True)
-    point.add_argument("--coarse-step", type=float, default=COARSE_STEP)
-    point.add_argument("--refine-tol", type=float, default=REFINE_TOL)
     point.set_defaults(func=cmd_point)
 
     verify = sub.add_parser("verify", help="run a numerical verification suite")
     verify.add_argument("suite", choices=SUITES)
     verify.add_argument("--samples", type=int, default=None)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--tol", type=float, default=None)
     verify.set_defaults(func=cmd_verify)
 
     return parser

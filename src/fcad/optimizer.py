@@ -18,18 +18,15 @@ import numpy as np
 __all__ = [
     "OptimResult",
     "SimplexPoint",
-    "check_settings",
     "maximize_1d",
     "maximize_simplex",
     "scan_simplex",
 ]
 
 SIMPLEX_TOL = 1e-12
-# default simplex search settings: coarse grid step and the step at which refinement stops
+# simplex search: coarse grid step, and the stencil step below which refinement stops
 COARSE_STEP = 1e-2
 REFINE_TOL = 1e-7
-# finest coarse step accepted, the step of the flat-grid test oracle (about 5e7 points)
-MIN_COARSE_STEP = 1e-4
 _INV_PHI = (sqrt(5.0) - 1.0) / 2.0
 _LINE_TOL = 1e-9
 _LINE_GRID_POINTS = 1000
@@ -98,25 +95,15 @@ def _scan_triangle(grid_objective, step: float) -> tuple[float, float, float, in
     return best_value, best_a, best_d, evaluations
 
 
-def check_settings(coarse_step: float, refine_tol: float) -> None:
-    """Reject simplex search settings that leave the simplex, scan an
-    unbounded number of coarse points, or never stop refining."""
-    if not MIN_COARSE_STEP <= coarse_step <= 0.5:
-        raise ValueError(f"coarse_step must be in [{MIN_COARSE_STEP:g}, 0.5], got {coarse_step}")
-    if not refine_tol > 0.0:
-        raise ValueError(f"refine_tol must be positive, got {refine_tol}")
-
-
-def maximize_simplex(
-    objective, grid_objective, coarse_step: float = COARSE_STEP, refine_tol: float = REFINE_TOL
-) -> OptimResult:
-    """Grid scan of the (alpha, delta) triangle followed by local refinement.
+def maximize_simplex(objective, grid_objective) -> OptimResult:
+    """Grid scan of the (alpha, delta) triangle at ``COARSE_STEP`` followed
+    by local refinement.
 
     The coarse scan walks alpha, then delta, in ascending order; ties keep
     the first point found, which makes the search deterministic.  The local
     stage is a steepest ascent on a 5x5 stencil: it moves to the best
     feasible stencil point while that beats the centre, then halves the
-    step until it drops below ``refine_tol``, so the reported value never
+    step until it drops below ``REFINE_TOL``, so the reported value never
     falls under the coarse optimum.  Boundary faces are evaluated directly,
     relying on the objective treating 0 log 0 as 0.
 
@@ -125,14 +112,13 @@ def maximize_simplex(
     function on a :class:`SimplexPoint`; it is called once, to score the
     returned point.
     """
-    check_settings(coarse_step, refine_tol)
-    best_value, best_a, best_d, evaluations = _scan_triangle(grid_objective, coarse_step)
+    best_value, best_a, best_d, evaluations = _scan_triangle(grid_objective, COARSE_STEP)
 
-    # With h <= coarse_step / 2 <= 1/4 every point of the triangle keeps at
+    # With h <= COARSE_STEP / 2 < 1/4 every point of the triangle keeps at
     # least one feasible stencil neighbour, so no pass is empty.
-    step = coarse_step
-    h = coarse_step / 2.0
-    while h >= refine_tol:
+    step = COARSE_STEP
+    h = COARSE_STEP / 2.0
+    while h >= REFINE_TOL:
         step = h
         for _ in range(_MAX_MOVES_PER_LEVEL):
             a = best_a + _STENCIL[0] * h

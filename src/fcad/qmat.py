@@ -71,12 +71,12 @@ def max_abs_diff(a, b) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def hermitian_eigenvalues(h, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian_eigenvalues(h) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, in descending order."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
-    if max_abs_diff(h, dag(h)) > tol:
+    if not (max_abs_diff(h, dag(h)) <= HERMITIAN_TOL):
         raise NonHermitianError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(h)[::-1].copy()
 

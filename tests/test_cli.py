@@ -80,17 +80,6 @@ class TestSweep:
             for column in header:
                 assert abs(float(row[column]) - float(ref[column])) <= 1e-9, (ref["eta"], column)
 
-    @pytest.mark.parametrize(
-        "flags",
-        [["--coarse-step", "0"], ["--coarse-step", "-0.1"], ["--coarse-step", "0.6"],
-         ["--refine-tol", "0"], ["--refine-tol", "nan"], ["--coarse-step", "1e-5"]],
-    )
-    def test_bad_optimizer_settings_are_config_errors(self, flags, capsys):
-        assert main(["sweep", "--eta-step", "0.5", *flags]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("eta_start = 0.5\neta_end = 0.5\neta_step = 0.5\nquantities = q\n# comment\n")
@@ -118,7 +107,9 @@ class TestSweep:
     @pytest.mark.parametrize(
         "line, message",
         [("seed = 1", "error: unknown config key 'seed'\n"), ("eta_step = fast", "error: bad value in config file"),
-         ("eta_step = nan", "error: eta-step must be finite and positive, got nan\n")],
+         ("eta_step = nan", "error: eta-step must be finite and positive, got nan\n"),
+         ("coarse_step = 0.01", "error: unknown config key 'coarse_step'\n"),
+         ("refine_tol = 1e-7", "error: unknown config key 'refine_tol'\n")],
     )
     def test_bad_config_line_is_config_error(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"
@@ -205,7 +196,7 @@ class TestPoint:
         "argv",
         [["point", "--eta", "-1e-05", "--quantity", "c_ad1"], ["point", "--eta", "-inf", "--quantity", "c1"],
          ["point", "--eta", "-nan", "--quantity", "q"], ["point", "--eta", "-.5", "--quantity", "ce"],
-         ["verify", "composition", "--tol", "-inf"], ["verify", "composition", "--tol", "-1e-05"]],
+         ["sweep", "--eta-end", "-inf"], ["sweep", "--eta-start", "-1e-05"]],
     )
     def test_negative_value_tokens_are_values(self, argv, capsys):
         assert main(argv) == 2
@@ -219,31 +210,12 @@ class TestPoint:
             assert main(["point", "--eta", eta, "--quantity", quantity]) == 0
         assert capsys.readouterr().out == (DATA / "point_reports.txt").read_text()
 
-    # later flags override the --eta and --quantity given below; q below
-    # eta 1/2, p_opt and c_ad1 run no simplex search but must still reject
-    @pytest.mark.parametrize(
-        "flags",
-        [["--refine-tol", "0"], ["--coarse-step", "0"], ["--coarse-step", "-0.1"],
-         ["--eta", "0.3", "--coarse-step", "0"], ["--quantity", "p_opt", "--coarse-step", "0"],
-         ["--quantity", "c_ad1", "--refine-tol", "0"], ["--coarse-step", "1e-5"]],
-    )
-    def test_bad_optimizer_settings_are_config_errors(self, flags, capsys):
-        assert main(["point", "--eta", "0.7", "--quantity", "q", *flags]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-
-    @given(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, st.booleans())
+    @given(ANY_FLOAT, st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_any_flag_values_finish_or_exit_2(self, eta, coarse, refine, attached):
-        # c_ad1 runs no simplex search, so an accepted setting stays fast.  Each
-        # value is passed either as "--flag=value" or as a separate token, where
-        # "-inf", "-nan" and "-1e-05" must still be read as values
-        flags = [("--eta", eta), ("--coarse-step", coarse), ("--refine-tol", refine)]
-        if attached:
-            argv = [f"{flag}={value!r}" for flag, value in flags]
-        else:
-            argv = [token for flag, value in flags for token in (flag, repr(value))]
+    def test_any_flag_values_finish_or_exit_2(self, eta, attached):
+        # the value is passed either as "--eta=value" or as a separate token,
+        # where "-inf", "-nan" and "-1e-05" must still be read as a value
+        argv = [f"--eta={eta!r}"] if attached else ["--eta", repr(eta)]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             rc = main(["point", "--quantity", "c_ad1", *argv])
@@ -281,8 +253,9 @@ class TestVerify:
         assert main(["verify", "symmetrization", "--samples", "10"]) == 0
         assert_reports(capsys.readouterr().out, "symmetrization_chain", "separable_gain")
 
-    def test_impossible_tolerance_fails(self, capsys):
-        assert main(["verify", "composition", "--samples", "10", "--tol", "0"]) == 1
+    def test_failed_check_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "check_composition", lambda *args, **kwargs: 1.0)
+        assert main(["verify", "composition", "--samples", "10"]) == 1
         assert "CHECK composition FAIL" in capsys.readouterr().out
 
     @pytest.mark.parametrize("suite", ["covariance", "degradability", "inequalities", "symmetrization", "all"])
@@ -303,14 +276,22 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith(message) and captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
-    def test_bad_tol_is_config_error(self, tol, capsys):
-        assert main(["verify", "composition", "--samples", "10", f"--tol={tol}"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: tol") and captured.err.count("\n") == 1
-
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])
         assert exc.value.code == 2
+
+
+# the search settings and verify tolerances are fixed; no flag sets them
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--coarse-step", "0.01"], ["sweep", "--refine-tol", "1e-7"],
+     ["point", "--eta", "0.7", "--quantity", "q", "--coarse-step", "0.01"],
+     ["point", "--eta", "0.7", "--quantity", "q", "--refine-tol", "1e-7"],
+     ["verify", "composition", "--tol", "1e-12"]],
+)
+def test_fixed_setting_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

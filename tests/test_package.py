@@ -16,6 +16,9 @@ def test_package_exports_each_module_all(module):
 def test_removed_names_are_gone():
     assert not hasattr(fcad, "kron")
     assert not hasattr(qmat, "kron")
+    for name in ("check_settings", "MIN_COARSE_STEP"):
+        assert not hasattr(fcad, name)
+        assert not hasattr(optimizer, name)
 
 
 @pytest.mark.parametrize(
@@ -27,8 +30,9 @@ def test_removed_names_are_gone():
         (lambda: entropy.Ensemble([1.0], [[np.nan, 0.0, 0.0, 0.0]]), ValueError, "normalized"),
         (lambda: entropy.Ensemble([np.nan], [[1.0, 0.0, 0.0, 0.0]]), ValueError, "nonnegative"),
         (lambda: qmat.density_eigenvalues(np.full((4, 4), np.nan)), qmat.NotDensityMatrixError, "Hermitian"),
+        (lambda: qmat.hermitian_eigenvalues(np.full((2, 2), np.nan)), qmat.NonHermitianError, "Hermitian"),
     ],
-    ids=["simplex_alpha", "simplex_delta", "channel", "ensemble_state", "ensemble_prob", "density"],
+    ids=["simplex_alpha", "simplex_delta", "channel", "ensemble_state", "ensemble_prob", "density", "hermitian"],
 )
 def test_validators_reject_nan(build, error, message):
     """Each check fails on NaN instead of letting it through."""
