@@ -59,6 +59,8 @@ EQUALITY_TOL = 1e-12
 MARGIN_TOL = 1e-10
 # the three sign flips among symmetry_ops()
 _FLIPS = ("R1", "R2", "R3")
+# samples per chunk of the state-splitting scan, which holds one chunk at a time
+_SPLIT_CHUNK = 2**13
 
 
 class ZeroSubspaceWeightError(ValueError):
@@ -309,11 +311,17 @@ def capacity_point(eta: float) -> CapacityPoint:
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """Sampled margins of a claimed inequality (margin = lhs - rhs >= 0)."""
+    """Sampled margins of a claimed inequality (margin = lhs - rhs >= 0).
+
+    A sampled check also names its sample with the smallest margin: its
+    index in the random stream and its transmissivity.
+    """
 
     min_margin: float
     equality_max_abs: float
     passed: bool
+    worst_index: int | None = None
+    worst_eta: float | None = None
 
 
 def _splitting_margin(a2, b2, d2, eta):
@@ -331,29 +339,49 @@ def verify_state_splitting_inequality(n_samples: int = 100_000, seed: int = 0) -
     unit 3-sphere with the middle two coordinates folded into b) and a
     uniform transmissivity.  Equality is expected exactly at eta = 1, b = 0
     or d = 0, which are probed on dedicated boundary samples.
-    """
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n_samples, 4))
-    norm2 = np.sum(g * g, axis=1)
-    a2 = g[:, 0] ** 2 / norm2
-    b2 = (g[:, 1] ** 2 + g[:, 2] ** 2) / (2.0 * norm2)
-    d2 = g[:, 3] ** 2 / norm2
-    eta = rng.uniform(0.0, 1.0, n_samples)
-    min_margin = float(np.min(_splitting_margin(a2, b2, d2, eta)))
 
+    The random stream is one draw of all (n_samples, 4) normals, then the
+    n_samples etas, then the boundary etas.  It is read in chunks of
+    _SPLIT_CHUNK samples from two generators on the same seed, one of them
+    first stepped past the normals, so memory does not grow with n_samples.
+    """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
+    starts = range(0, n_samples, _SPLIT_CHUNK)
+    eta_rng = np.random.default_rng(seed)
+    for start in starts:
+        eta_rng.standard_normal((min(_SPLIT_CHUNK, n_samples - start), 4))
+    normal_rng = np.random.default_rng(seed)
     n_edge = min(n_samples, 1000)
-    eta_edge = rng.uniform(0.0, 1.0, n_edge)
+    min_margin, worst_index, worst_eta = math.inf, 0, 0.0
+    for start in starts:
+        size = min(_SPLIT_CHUNK, n_samples - start)
+        g = normal_rng.standard_normal((size, 4))
+        norm2 = np.sum(g * g, axis=1)
+        a2 = g[:, 0] ** 2 / norm2
+        b2 = (g[:, 1] ** 2 + g[:, 2] ** 2) / (2.0 * norm2)
+        d2 = g[:, 3] ** 2 / norm2
+        eta = eta_rng.uniform(0.0, 1.0, size)
+        margins = _splitting_margin(a2, b2, d2, eta)
+        i = int(np.argmin(margins))
+        if margins[i] < min_margin:
+            min_margin, worst_index, worst_eta = float(margins[i]), start + i, float(eta[i])
+        if start == 0:
+            edge = a2[:n_edge], b2[:n_edge], d2[:n_edge]
+
+    a2, b2, d2 = edge
+    eta_edge = eta_rng.uniform(0.0, 1.0, n_edge)
     edge_margins = [
         # eta = 1: both sides vanish
-        _splitting_margin(a2[:n_edge], b2[:n_edge], d2[:n_edge], 1.0),
+        _splitting_margin(a2, b2, d2, 1.0),
         # b = 0: the state already lives on the damped block
-        _splitting_margin(a2[:n_edge] + 2.0 * b2[:n_edge], np.zeros(n_edge), d2[:n_edge], eta_edge),
+        _splitting_margin(a2 + 2.0 * b2, np.zeros(n_edge), d2, eta_edge),
         # d = 0: nothing decays on either side
-        _splitting_margin(a2[:n_edge] + d2[:n_edge], b2[:n_edge], np.zeros(n_edge), eta_edge),
+        _splitting_margin(a2 + d2, b2, np.zeros(n_edge), eta_edge),
     ]
     equality_max = float(max(np.max(np.abs(m)) for m in edge_margins))
     passed = min_margin >= -MARGIN_TOL and equality_max <= EQUALITY_TOL
-    return InequalityReport(min_margin, equality_max, passed)
+    return InequalityReport(min_margin, equality_max, passed, worst_index, worst_eta)
 
 
 def verify_entangled_pair_inequality() -> InequalityReport:

@@ -31,8 +31,18 @@ SUITES = ("covariance", "degradability", "inequalities", "symmetrization", "comp
 MAX_SWEEP_ROWS = 10_001
 # how far past eta_end the last grid point may land
 _ETA_SLACK = 1e-9
-# most samples a verify suite may draw; at the cap inequalities peaks near 200 MB
+# most samples inequalities may draw; it streams them in fixed chunks, so the cap bounds its
+# time (about 0.3 s), not its memory
 MAX_SAMPLES = 1_000_000
+# most samples each suite may draw: the other suites loop in Python per sample, and each is
+# capped where it runs in about 60 s on a 2-CPU machine; all takes the smallest cap of its suites
+SUITE_MAX_SAMPLES = {
+    "covariance": 10_000,
+    "degradability": 20_000,
+    "inequalities": MAX_SAMPLES,
+    "symmetrization": 8_000,
+    "composition": 150_000,
+}
 # largest deviation the covariance, degradability and composition checks pass
 DEVIATION_TOL = 1e-12
 # largest deviation the Kraus commutation relations pass
@@ -213,8 +223,8 @@ def _point_lines(res: OptimResult) -> list[str]:
     ]
 
 
-def _emit(name: str, passed: bool, margin: float) -> bool:
-    print(f"CHECK {name} {'PASS' if passed else 'FAIL'} margin={format(margin, '.3g')}")
+def _emit(name: str, passed: bool, margin: float, worst: str = "") -> bool:
+    print(f"CHECK {name} {'PASS' if passed else 'FAIL'} margin={format(margin, '.3g')}{worst}")
     return passed
 
 
@@ -222,8 +232,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
     if args.seed < 0:
         raise InvalidConfigError(f"seed must be nonnegative, got {args.seed}")
-    if args.samples is not None and not 1 <= args.samples <= MAX_SAMPLES:
-        raise InvalidConfigError(f"samples must be in [1, {MAX_SAMPLES}], got {args.samples}")
+    cap = min(SUITE_MAX_SAMPLES[suite] for suite in suites)
+    if args.samples is not None and not 1 <= args.samples <= cap:
+        raise InvalidConfigError(f"samples must be in [1, {cap}] for suite {args.suite}, got {args.samples}")
     # each suite draws its own default number of samples unless --samples is given
     samples = () if args.samples is None else (args.samples,)
     ok = True
@@ -248,7 +259,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if "inequalities" in suites:
         split = capacities.verify_state_splitting_inequality(*samples, seed=args.seed)
-        ok &= _emit("state_splitting", split.passed, split.min_margin)
+        worst = f" seed={args.seed} index={split.worst_index} eta={_fmt(split.worst_eta)}"
+        ok &= _emit("state_splitting", split.passed, split.min_margin, worst)
         pair = capacities.verify_entangled_pair_inequality()
         ok &= _emit("entangled_pair", pair.passed, pair.min_margin)
 
@@ -265,11 +277,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads every float-looking token (-1e-05, -.5, -inf, -nan) as a value, not only plain negative decimals."""
+    """Reads every float-looking token (-1e-05, -.5, -inf, -nan) as a value, not only plain negative
+    decimals, and reports a usage error as one ``error:`` line on stderr with exit code 2."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fcad import capacities
 from fcad.capacities import (
     CapacityPoint,
     ZeroSubspaceWeightError,
@@ -286,6 +288,53 @@ class TestInequalityVerifiers:
         assert report.passed
         assert report.min_margin >= -1e-10
         assert report.equality_max_abs <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize(
+        "n_samples",
+        [1, 999, 1000, 1001, capacities._SPLIT_CHUNK - 1, capacities._SPLIT_CHUNK, capacities._SPLIT_CHUNK + 1,
+         3 * capacities._SPLIT_CHUNK + 7],
+    )
+    def test_state_splitting_chunks_match_one_draw(self, n_samples, seed):
+        """The chunked scan reads the same stream as one draw of every sample, to the last bit."""
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n_samples, 4))
+        norm2 = np.sum(g * g, axis=1)
+        a2 = g[:, 0] ** 2 / norm2
+        b2 = (g[:, 1] ** 2 + g[:, 2] ** 2) / (2.0 * norm2)
+        d2 = g[:, 3] ** 2 / norm2
+        eta = rng.uniform(0.0, 1.0, n_samples)
+        margins = capacities._splitting_margin(a2, b2, d2, eta)
+        n_edge = min(n_samples, 1000)
+        eta_edge = rng.uniform(0.0, 1.0, n_edge)
+        a2, b2, d2 = a2[:n_edge], b2[:n_edge], d2[:n_edge]
+        edge_margins = [
+            capacities._splitting_margin(a2, b2, d2, 1.0),
+            capacities._splitting_margin(a2 + 2.0 * b2, np.zeros(n_edge), d2, eta_edge),
+            capacities._splitting_margin(a2 + d2, b2, np.zeros(n_edge), eta_edge),
+        ]
+
+        report = verify_state_splitting_inequality(n_samples, seed=seed)
+        worst = int(np.argmin(margins))
+        assert report.min_margin == margins[worst]
+        assert report.worst_index == worst
+        assert report.worst_eta == eta[worst]
+        assert report.equality_max_abs == max(np.max(np.abs(m)) for m in edge_margins)
+        assert report.passed
+
+    @pytest.mark.parametrize("n_samples", [100_000, 1_000_000])
+    def test_state_splitting_memory_does_not_grow_with_samples(self, n_samples):
+        tracemalloc.start()
+        try:
+            verify_state_splitting_inequality(n_samples, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_state_splitting_needs_a_sample(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            verify_state_splitting_inequality(0)
 
     def test_entangled_pair(self):
         report = verify_entangled_pair_inequality()

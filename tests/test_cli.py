@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcad import cli
+from fcad import capacities, cli
 from fcad.cli import InvalidConfigError, SweepConfig, main
 
 LOG2_3 = math.log2(3.0)
@@ -225,6 +225,15 @@ class TestPoint:
             assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
+def assert_usage_error(argv, capsys, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
 def assert_reports(out: str, *names: str) -> None:
     assert out == "".join(VERIFY_REPORTS[name] for name in names)
 
@@ -276,10 +285,24 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith(message) and captured.err.count("\n") == 1
 
-    def test_unknown_suite_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "nonsense"])
-        assert exc.value.code == 2
+    @pytest.mark.parametrize("suite", cli.SUITES)
+    def test_samples_above_the_suite_cap_is_config_error(self, suite, capsys):
+        cap = min(cli.SUITE_MAX_SAMPLES.values()) if suite == "all" else cli.SUITE_MAX_SAMPLES[suite]
+        assert main(["verify", suite, "--samples", str(cap + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: samples must be in [1, {cap}] for suite {suite}, got {cap + 1}\n"
+
+    def test_worst_sample_replays(self, capsys):
+        """The worst sample a state_splitting line names is the worst of a rerun with its seed."""
+        assert main(["verify", "inequalities", "--samples", "3000", "--seed", "5"]) == 0
+        tokens = dict(t.split("=") for t in capsys.readouterr().out.splitlines()[0].split()[3:])
+        report = capacities.verify_state_splitting_inequality(3000, seed=int(tokens["seed"]))
+        assert int(tokens["index"]) == report.worst_index
+        assert float(tokens["eta"]) == pytest.approx(report.worst_eta, rel=1e-8)
+
+    def test_unknown_suite_rejected(self, capsys):
+        assert_usage_error(["verify", "nonsense"], capsys, "argument suite: invalid choice")
 
 
 # the search settings and verify tolerances are fixed; no flag sets them
@@ -291,7 +314,22 @@ class TestVerify:
      ["verify", "composition", "--tol", "1e-12"]],
 )
 def test_fixed_setting_flags_are_rejected(argv, capsys):
+    assert_usage_error(argv, capsys, "unrecognized arguments")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["point", "--quantity", "q"], "the following arguments are required: --eta"),
+     (["point", "--eta", "0.7", "--quantity", "nope"], "argument --quantity: invalid choice"),
+     (["verify", "all", "--samples", "many"], "argument --samples: invalid int value"),
+     ([], "the following arguments are required: command")],
+)
+def test_usage_error_is_one_line(argv, message, capsys):
+    assert_usage_error(argv, capsys, message)
+
+
+def test_help_is_unchanged(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fcad verify")
