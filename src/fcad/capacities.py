@@ -172,12 +172,7 @@ def c_ad1_search(eta: float) -> OptimResult:
     excited-state population p.
     """
     eta = _check_eta(eta)
-
-    def gain(p):
-        root = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * eta * (1.0 - eta) * p * p))
-        return h2(eta * p) - h2(0.5 * (1.0 + root))
-
-    return maximize_1d(gain, 0.0, 1.0)
+    return maximize_1d(lambda p: h2(eta * p) - _pair_entropy(1.0 - p, p, eta), 0.0, 1.0)
 
 
 def c_ad1(eta: float) -> float:
@@ -393,8 +388,7 @@ def verify_entangled_pair_inequality() -> InequalityReport:
     """
     eta = np.linspace(0.01, 0.99, 99)[:, None]
     x = np.logspace(0.0, 2.0, 50)[None, :]
-    root = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * eta * (1.0 - eta) / x**2))
-    margins = h2(eta) - x * h2(0.5 * (1.0 + root))
+    margins = h2(eta) - _pair_entropy(x - 1.0, 1.0, eta)
     min_margin = float(np.min(margins))
     equality_max = float(np.max(np.abs(margins[:, 0])))
     passed = min_margin >= -MARGIN_TOL and equality_max <= EQUALITY_TOL
@@ -470,6 +464,8 @@ def verify_symmetrization_chain(n_ensembles: int = 100, seed: int = 0) -> Symmet
     Separable ensembles (sign-symmetrized first, so their mean state is
     diagonal) must gain strictly from the entangled-pair replacement.
     """
+    if n_ensembles < 1:
+        raise ValueError(f"n_ensembles must be positive, got {n_ensembles}")
     margins = {name: math.inf for name, _ in _CHAIN_STEPS}
     for k in range(n_ensembles):
         rng = np.random.default_rng(np.random.SeedSequence([seed, k]))

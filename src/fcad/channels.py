@@ -148,6 +148,8 @@ def degrading_map(eta: float) -> QuantumChannel:
 
 def check_composition(n_samples: int = 100, seed: int = 0) -> float:
     """Max deviation of fc(eta1*eta2) from fc(eta2) after fc(eta1) on random states."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
     worst = 0.0
     for i in range(n_samples):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))

@@ -32,7 +32,7 @@ MAX_SWEEP_ROWS = 10_001
 # how far past eta_end the last grid point may land
 _ETA_SLACK = 1e-9
 # most samples inequalities may draw; it streams them in fixed chunks, so the cap bounds its
-# time (about 0.3 s), not its memory
+# time (about 0.6 s for the whole process on a 2-CPU machine), not its memory
 MAX_SAMPLES = 1_000_000
 # most samples each suite may draw: the other suites loop in Python per sample, and each is
 # capped where it runs in about 60 s on a 2-CPU machine; all takes the smallest cap of its suites
@@ -209,6 +209,7 @@ def cmd_point(args: argparse.Namespace) -> int:
     elif args.quantity == "c_ad1":
         res = capacities.c_ad1_search(eta)
         lines += [f"value = {_fmt(res.value)}", f"p1 = {_fmt(res.point)}", f"evaluations = {res.evaluations}"]
+        lines.append(f"final_step = {_fmt(res.grid_step_final)}")
     print("\n".join(lines))
     return 0
 

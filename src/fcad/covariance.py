@@ -45,6 +45,8 @@ def symmetry_ops() -> tuple[SymmetryOp, ...]:
 
 def check_covariance(eta: float, op: SymmetryOp, n_samples: int = 100, seed: int = 0) -> float:
     """Max deviation of E(U rho U) from U E(rho) U over random mixed states."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
     ch = fc_channel(eta)
     u = op.matrix
     worst = 0.0
@@ -59,6 +61,8 @@ def check_degradability(eta: float, n_samples: int = 100, seed: int = 0) -> floa
 
     Only defined for eta >= 1/2.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
     dmap = degrading_map(eta)
     ch = fc_channel(eta)
     worst = 0.0

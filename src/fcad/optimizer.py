@@ -1,17 +1,18 @@
 """Deterministic maximizers for the capacity optimizations.
 
-Two tools: a coarse-to-fine grid search over the diagonal input simplex
+One scheme, in one and two dimensions: a flat grid scan, then a steepest
+stencil ascent from its best point with a halving step.  In two
+dimensions it runs over the diagonal input simplex
 {alpha, beta, delta >= 0, alpha + 2 beta + delta = 1}, parametrized by
-(alpha, delta) with beta eliminated, and a one-dimensional golden-section
-search cross-checked against a flat grid.  Both report the best point
-actually evaluated, so the returned value always equals the objective at
-the returned point.
+(alpha, delta) with beta eliminated; in one dimension over an interval.
+Both report the best point actually evaluated, so the returned value
+always equals the objective at the returned point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, sqrt
+from math import inf
 
 import numpy as np
 
@@ -27,13 +28,15 @@ SIMPLEX_TOL = 1e-12
 # simplex search: coarse grid step, and the stencil step below which refinement stops
 COARSE_STEP = 1e-2
 REFINE_TOL = 1e-7
-_INV_PHI = (sqrt(5.0) - 1.0) / 2.0
-_LINE_TOL = 1e-9
+# interval search: grid intervals, and the stencil step below which refinement stops
 _LINE_GRID_POINTS = 1000
+_LINE_TOL = 1e-9
 _MAX_MOVES_PER_LEVEL = 10_000
 _SCAN_BLOCK = 1 << 16
 # (di, dj) offsets of the refine stencil, centre excluded, in scan order
 _STENCIL = np.array([(i, j) for i in range(-2, 3) for j in range(-2, 3) if (i, j) != (0, 0)], dtype=float).T
+# offsets of the interval search's stencil, centre excluded, in scan order
+_LINE_STENCIL = np.array([[-2.0, -1.0, 1.0, 2.0]])
 
 
 @dataclass(frozen=True)
@@ -95,46 +98,63 @@ def _scan_triangle(grid_objective, step: float) -> tuple[float, float, float, in
     return best_value, best_a, best_d, evaluations
 
 
+def _ascend(grid_objective, feasible, stencil, value, best, h, tol):
+    """Steepest stencil ascent from ``best``, a (dim,) point scoring ``value``.
+
+    Each pass evaluates the feasible points ``best + h * stencil`` (stencil
+    columns in their given order, ``feasible`` masking a (dim, n) array) in
+    one ``grid_objective`` call on the n coordinate rows.  The ascent moves
+    to the best of them while that beats the centre, ties keeping the first
+    point, then halves ``h`` until it drops below ``tol``, so the returned
+    value never falls under the starting one.  Boundary faces are evaluated
+    directly, relying on the objective treating 0 log 0 as 0.
+
+    Returns (value, point, evaluations, last step used).
+    """
+    evaluations = 0
+    step = h
+    while h >= tol:
+        step = h
+        for _ in range(_MAX_MOVES_PER_LEVEL):
+            points = best[:, None] + stencil * h
+            points = points[:, feasible(points)]
+            values = np.asarray(grid_objective(*points), dtype=float)
+            evaluations += values.size
+            k = int(np.argmax(values))
+            if not values[k] > value:
+                break
+            value, best = float(values[k]), points[:, k]
+        h /= 2.0
+    return value, best, evaluations, step
+
+
+def _in_triangle(points):
+    a, d = points
+    return (a >= 0.0) & (d >= 0.0) & (a + d <= 1.0 + SIMPLEX_TOL)
+
+
 def maximize_simplex(objective, grid_objective) -> OptimResult:
     """Grid scan of the (alpha, delta) triangle at ``COARSE_STEP`` followed
     by local refinement.
 
     The coarse scan walks alpha, then delta, in ascending order; ties keep
     the first point found, which makes the search deterministic.  The local
-    stage is a steepest ascent on a 5x5 stencil: it moves to the best
-    feasible stencil point while that beats the centre, then halves the
-    step until it drops below ``REFINE_TOL``, so the reported value never
-    falls under the coarse optimum.  Boundary faces are evaluated directly,
-    relying on the objective treating 0 log 0 as 0.
+    stage is :func:`_ascend` on a 5x5 stencil, from half the grid step down
+    to ``REFINE_TOL``.
 
     ``grid_objective`` takes (alpha, delta) numpy arrays and drives both
     the coarse scan and every stencil pass.  ``objective`` is the same
     function on a :class:`SimplexPoint`; it is called once, to score the
     returned point.
     """
-    best_value, best_a, best_d, evaluations = _scan_triangle(grid_objective, COARSE_STEP)
-
+    value, a, d, scanned = _scan_triangle(grid_objective, COARSE_STEP)
     # With h <= COARSE_STEP / 2 < 1/4 every point of the triangle keeps at
     # least one feasible stencil neighbour, so no pass is empty.
-    step = COARSE_STEP
-    h = COARSE_STEP / 2.0
-    while h >= REFINE_TOL:
-        step = h
-        for _ in range(_MAX_MOVES_PER_LEVEL):
-            a = best_a + _STENCIL[0] * h
-            d = best_d + _STENCIL[1] * h
-            feasible = (a >= 0.0) & (d >= 0.0) & (a + d <= 1.0 + SIMPLEX_TOL)
-            a, d = a[feasible], d[feasible]
-            values = np.asarray(grid_objective(a, d), dtype=float)
-            evaluations += values.size
-            k = int(np.argmax(values))
-            if not values[k] > best_value:
-                break
-            best_value, best_a, best_d = float(values[k]), float(a[k]), float(d[k])
-        h /= 2.0
-
-    point = SimplexPoint.from_alpha_delta(best_a, best_d)
-    return OptimResult(float(objective(point)), point, evaluations, step)
+    _, best, refined, step = _ascend(
+        grid_objective, _in_triangle, _STENCIL, value, np.array([a, d]), COARSE_STEP / 2.0, REFINE_TOL
+    )
+    point = SimplexPoint.from_alpha_delta(float(best[0]), float(best[1]))
+    return OptimResult(float(objective(point)), point, scanned + refined, step)
 
 
 def scan_simplex(grid_objective, step: float) -> OptimResult:
@@ -147,61 +167,29 @@ def scan_simplex(grid_objective, step: float) -> OptimResult:
 
 
 def maximize_1d(objective, lo: float, hi: float) -> OptimResult:
-    """Golden-section ascent cross-checked against a flat grid scan.
+    """Flat grid scan of [lo, hi] followed by local refinement.
 
-    Golden section assumes a unimodal objective; the grid pass protects
-    the result when that assumption is off.  The better of the two
-    candidates is returned (ties keep the golden-section point).
-
-    The search stops once the bracket is narrower than ``_LINE_TOL``.
-    ``objective`` is called with a float during the golden-section search
-    and once with the 1-D array of all ``_LINE_GRID_POINTS + 1`` grid
-    abscissae, so it must broadcast over numpy arrays.
+    The scan evaluates ``_LINE_GRID_POINTS + 1`` evenly spaced abscissae,
+    ends included, in one call; ties keep the first (lowest) point.  The
+    grid protects the result when the objective is not unimodal.  The local
+    stage is :func:`_ascend` on the stencil (-2, -1, 1, 2), from half the
+    grid spacing down to ``_LINE_TOL``.  ``objective`` is only ever called
+    with 1-D numpy arrays, so it must broadcast.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-
-    evaluations = 0
-    best_x = lo
-    best_f = -inf
-
-    def consider(x: float, f: float) -> None:
-        nonlocal best_x, best_f
-        if f > best_f:
-            best_x, best_f = x, f
-
-    for x in (lo, hi):
-        f = objective(x)
-        evaluations += 1
-        consider(x, f)
-
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc = objective(c)
-    fd = objective(d)
-    evaluations += 2
-    consider(c, fc)
-    consider(d, fd)
-    while b - a > _LINE_TOL:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = objective(c)
-            evaluations += 1
-            consider(c, fc)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = objective(d)
-            evaluations += 1
-            consider(d, fd)
-
-    spacing = (hi - lo) / _LINE_GRID_POINTS
-    xs = lo + spacing * np.arange(_LINE_GRID_POINTS + 1)
-    fs = np.asarray(objective(xs), dtype=float)
-    evaluations += fs.size
-    k = int(np.argmax(fs))
-    consider(float(xs[k]), float(fs[k]))
-
-    return OptimResult(best_f, best_x, evaluations, min(b - a, spacing))
+    xs = np.linspace(lo, hi, _LINE_GRID_POINTS + 1)
+    values = np.asarray(objective(xs), dtype=float)
+    k = int(np.argmax(values))
+    # With h <= spacing / 2 every point of [lo, hi] keeps at least one
+    # feasible stencil neighbour, so no pass is empty.
+    value, best, refined, step = _ascend(
+        objective,
+        lambda x: (x[0] >= lo) & (x[0] <= hi),
+        _LINE_STENCIL,
+        float(values[k]),
+        xs[k : k + 1],
+        0.5 * (hi - lo) / _LINE_GRID_POINTS,
+        _LINE_TOL,
+    )
+    return OptimResult(value, float(best[0]), values.size + refined, step)

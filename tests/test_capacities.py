@@ -28,7 +28,8 @@ from fcad.capacities import (
     verify_state_splitting_inequality,
     verify_symmetrization_chain,
 )
-from fcad.channels import fc_channel
+from fcad.channels import check_composition, fc_channel
+from fcad.covariance import check_covariance, check_degradability, symmetry_ops
 from fcad.entropy import coherent_info, h2, holevo, mutual_info, vn_entropy
 from fcad.optimizer import SimplexPoint
 
@@ -116,14 +117,13 @@ class TestCad1AndPopt:
     def test_fully_damped(self):
         assert c_ad1(0.0) == 0.0
 
-    def test_grid_cross_check(self):
-        eta = 0.75
-        search = c_ad1_search(eta)
-
-        p = np.arange(100001) / 100000.0
+    @pytest.mark.parametrize("eta", np.linspace(0.0, 1.0, 21).tolist())
+    def test_grid_cross_check(self, eta):
+        """At least the maximum of a 10^6-interval grid, and at most round-off above it."""
+        p = np.arange(10**6 + 1) / 10**6
         root = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * eta * (1.0 - eta) * p * p))
         fine = float(np.max(h2(eta * p) - h2(0.5 * (1.0 + root))))
-        assert abs(search.value - fine) < 1e-6
+        assert fine - 1e-15 <= c_ad1_search(eta).value <= fine + 1e-11
 
     def test_p_opt_endpoints(self):
         assert abs(p_opt(0.0) - 1.0 / 3.0) < 1e-9
@@ -335,6 +335,20 @@ class TestInequalityVerifiers:
     def test_state_splitting_needs_a_sample(self):
         with pytest.raises(ValueError, match="n_samples"):
             verify_state_splitting_inequality(0)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize(
+        "check, name",
+        [
+            pytest.param(lambda n: check_covariance(0.5, symmetry_ops()[0], n), "n_samples", id="covariance"),
+            pytest.param(lambda n: check_degradability(0.7, n), "n_samples", id="degradability"),
+            pytest.param(check_composition, "n_samples", id="composition"),
+            pytest.param(verify_symmetrization_chain, "n_ensembles", id="symmetrization"),
+        ],
+    )
+    def test_samplers_need_a_sample(self, check, name, n):
+        with pytest.raises(ValueError, match=name):
+            check(n)
 
     def test_entangled_pair(self):
         report = verify_entangled_pair_inequality()

@@ -146,9 +146,9 @@ class TestMaximize1d:
             root = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * eta * (1.0 - eta) * p * p))
             return h2(eta * p) - h2(0.5 * (1.0 + root))
 
-        golden = maximize_1d(gain, 0.0, 1.0)
+        search = maximize_1d(gain, 0.0, 1.0)
         fine_grid = float(np.max(gain(np.arange(100001) / 100000.0)))
-        assert abs(golden.value - fine_grid) < 1e-6
+        assert abs(search.value - fine_grid) < 1e-6
 
     def test_catches_non_unimodal(self):
         """The flat grid pass rescues a bimodal objective."""
@@ -164,3 +164,25 @@ class TestMaximize1d:
         result_a = maximize_1d(h2, 0.0, 1.0)
         result_b = maximize_1d(h2, 0.0, 1.0)
         assert result_a == result_b
+
+    def test_objective_sees_only_arrays(self):
+        seen = []
+
+        def objective(x):
+            seen.append(x)
+            return h2(x)
+
+        result = maximize_1d(objective, 0.0, 1.0)
+        assert seen and all(isinstance(x, np.ndarray) and x.ndim == 1 for x in seen)
+        assert result.evaluations == sum(x.size for x in seen)
+
+    @pytest.mark.parametrize("sign, edge", [(1.0, 1.0), (-1.0, 0.0)])
+    def test_maximum_at_the_bracket_edge(self, sign, edge):
+        result = maximize_1d(lambda x: sign * x, 0.0, 1.0)
+        assert result.point == edge
+        assert result.value == sign * edge
+
+    def test_value_is_the_objective_at_the_point(self):
+        gain = lambda p: h2(0.3 * p) - h2(0.5 * (1.0 + np.sqrt(1.0 - 0.84 * p * p)))
+        result = maximize_1d(gain, 0.0, 1.0)
+        assert result.value == gain(np.array([result.point]))[0]
