@@ -23,7 +23,7 @@ from .channels import _check_eta, fc_channel
 from .covariance import symmetry_ops
 from .entropy import Ensemble, h2, holevo, xlog2
 from .optimizer import OptimResult, SimplexPoint, maximize_1d, maximize_simplex
-from .qmat import random_pure
+from .qmat import _sample_streams, random_pure
 
 __all__ = [
     "CapacityPoint",
@@ -309,7 +309,7 @@ class InequalityReport:
     """Sampled margins of a claimed inequality (margin = lhs - rhs >= 0).
 
     A sampled check also names its sample with the smallest margin: its
-    index in the random stream and its transmissivity.
+    index among the samples and its transmissivity.
     """
 
     min_margin: float
@@ -335,37 +335,28 @@ def verify_state_splitting_inequality(n_samples: int = 100_000, seed: int = 0) -
     uniform transmissivity.  Equality is expected exactly at eta = 1, b = 0
     or d = 0, which are probed on dedicated boundary samples.
 
-    The random stream is one draw of all (n_samples, 4) normals, then the
-    n_samples etas, then the boundary etas.  It is read in chunks of
-    _SPLIT_CHUNK samples from two generators on the same seed, one of them
-    first stepped past the normals, so memory does not grow with n_samples.
+    Chunk c of _SPLIT_CHUNK samples draws its normals, then its etas, from
+    child stream c of the seed, and the boundary etas follow chunk 0's etas,
+    so memory does not grow with n_samples.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
-    starts = range(0, n_samples, _SPLIT_CHUNK)
-    eta_rng = np.random.default_rng(seed)
-    for start in starts:
-        eta_rng.standard_normal((min(_SPLIT_CHUNK, n_samples - start), 4))
-    normal_rng = np.random.default_rng(seed)
     n_edge = min(n_samples, 1000)
     min_margin, worst_index, worst_eta = math.inf, 0, 0.0
-    for start in starts:
-        size = min(_SPLIT_CHUNK, n_samples - start)
-        g = normal_rng.standard_normal((size, 4))
+    for c, rng in _sample_streams(n_samples, seed, chunk=_SPLIT_CHUNK):
+        start = c * _SPLIT_CHUNK
+        g = rng.standard_normal((min(_SPLIT_CHUNK, n_samples - start), 4))
         norm2 = np.sum(g * g, axis=1)
         a2 = g[:, 0] ** 2 / norm2
         b2 = (g[:, 1] ** 2 + g[:, 2] ** 2) / (2.0 * norm2)
         d2 = g[:, 3] ** 2 / norm2
-        eta = eta_rng.uniform(0.0, 1.0, size)
+        eta = rng.uniform(0.0, 1.0, len(g))
         margins = _splitting_margin(a2, b2, d2, eta)
         i = int(np.argmin(margins))
         if margins[i] < min_margin:
             min_margin, worst_index, worst_eta = float(margins[i]), start + i, float(eta[i])
-        if start == 0:
-            edge = a2[:n_edge], b2[:n_edge], d2[:n_edge]
+        if c == 0:
+            edge = a2[:n_edge], b2[:n_edge], d2[:n_edge], rng.uniform(0.0, 1.0, n_edge)
 
-    a2, b2, d2 = edge
-    eta_edge = eta_rng.uniform(0.0, 1.0, n_edge)
+    a2, b2, d2, eta_edge = edge
     edge_margins = [
         # eta = 1: both sides vanish
         _splitting_margin(a2, b2, d2, 1.0),
@@ -404,19 +395,9 @@ class SymmetrizationReport:
     # every step margin at least -MARGIN_TOL; every separable ensemble gains strictly
     chain_passed: bool
     gain_passed: bool
-
-
-def _random_ensemble(rng) -> Ensemble:
-    probs = rng.dirichlet(np.ones(4))
-    return Ensemble(probs, [random_pure(4, rng) for _ in probs])
-
-
-def _random_separable_ensemble(rng) -> Ensemble:
-    probs = rng.dirichlet(np.ones(4))
-    g, hh = rng.uniform(0.2, 0.98, size=(4, 2)).T
-    one = np.stack([g, np.sqrt(1.0 - g * g)], axis=1)
-    two = np.stack([hh, np.sqrt(1.0 - hh * hh)], axis=1)
-    return Ensemble(probs, (one[:, :, None] * two[:, None, :]).reshape(4, 4))
+    # (child stream index, eta) of the sample with the smallest chain margin, and with the smallest gain
+    worst_chain_sample: tuple[int, float]
+    worst_gain_sample: tuple[int, float]
 
 
 def _twirl(ens: Ensemble, names: tuple[str, ...]) -> Ensemble:
@@ -457,35 +438,50 @@ _CHAIN_STEPS = (
 )
 
 
-def verify_symmetrization_chain(n_ensembles: int = 100, seed: int = 0) -> SymmetrizationReport:
+def _chain_sample(rng) -> tuple[float, dict[str, float]]:
+    """A random transmissivity, and the Holevo-quantity change at each chain step of a random ensemble."""
+    eta = float(rng.uniform())
+    ch = fc_channel(eta)
+    probs = rng.dirichlet(np.ones(4))
+    ens = Ensemble(probs, [random_pure(4, rng) for _ in probs])
+    chi = holevo(ch, ens)
+    steps = {}
+    for name, step in _CHAIN_STEPS:
+        ens = step(ens)
+        chi_next = holevo(ch, ens)
+        steps[name] = chi_next - chi
+        chi = chi_next
+    return eta, steps
+
+
+def _gain_sample(rng) -> tuple[float, float]:
+    """A random transmissivity, and the Holevo gain of the pair replacement on a random
+    sign-symmetrized ensemble of product states."""
+    eta = float(rng.uniform(0.05, 0.95))
+    ch = fc_channel(eta)
+    probs = rng.dirichlet(np.ones(4))
+    g, hh = rng.uniform(0.2, 0.98, size=(4, 2)).T
+    one = np.stack([g, np.sqrt(1.0 - g * g)], axis=1)
+    two = np.stack([hh, np.sqrt(1.0 - hh * hh)], axis=1)
+    ens = _twirl(Ensemble(probs, (one[:, :, None] * two[:, None, :]).reshape(4, 4)), _FLIPS)
+    return eta, holevo(ch, _replace_with_pairs(ens)) - holevo(ch, ens)
+
+
+def verify_symmetrization_chain(n_samples: int = 100, seed: int = 0) -> SymmetrizationReport:
     """Push random ensembles through the symmetrization chain and check the
     Holevo quantity never drops at any step.
 
     Separable ensembles (sign-symmetrized first, so their mean state is
-    diagonal) must gain strictly from the entangled-pair replacement.
+    diagonal) must gain strictly from the entangled-pair replacement.  The
+    n_samples chain ensembles draw from child streams 0 to n_samples - 1,
+    the n_samples separable ones from the next n_samples streams.
     """
-    if n_ensembles < 1:
-        raise ValueError(f"n_ensembles must be positive, got {n_ensembles}")
-    margins = {name: math.inf for name, _ in _CHAIN_STEPS}
-    for k in range(n_ensembles):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-        eta = float(rng.uniform())
-        ch = fc_channel(eta)
-        ens = _random_ensemble(rng)
-        chi = holevo(ch, ens)
-        for name, step in _CHAIN_STEPS:
-            ens = step(ens)
-            chi_next = holevo(ch, ens)
-            margins[name] = min(margins[name], chi_next - chi)
-            chi = chi_next
-
-    min_gain = math.inf
-    for k in range(n_ensembles):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, n_ensembles + k]))
-        eta = float(rng.uniform(0.05, 0.95))
-        ch = fc_channel(eta)
-        ens = _twirl(_random_separable_ensemble(rng), _FLIPS)
-        gain = holevo(ch, _replace_with_pairs(ens)) - holevo(ch, ens)
-        min_gain = min(min_gain, gain)
-
-    return SymmetrizationReport(margins, min_gain, all(m >= -MARGIN_TOL for m in margins.values()), min_gain > 0.0)
+    # (child stream index, eta, margins) per sample; min() keeps the first of tied samples
+    chain = [(k, *_chain_sample(rng)) for k, rng in _sample_streams(n_samples, seed)]
+    gains = [(k, *_gain_sample(rng)) for k, rng in _sample_streams(n_samples, seed, first=n_samples)]
+    margins = {name: min(steps[name] for _, _, steps in chain) for name, _ in _CHAIN_STEPS}
+    worst_chain = min(chain, key=lambda sample: min(sample[2].values()))
+    worst_gain = min(gains, key=lambda sample: sample[2])
+    min_gain = worst_gain[2]
+    chain_passed = all(m >= -MARGIN_TOL for m in margins.values())
+    return SymmetrizationReport(margins, min_gain, chain_passed, min_gain > 0.0, worst_chain[:2], worst_gain[:2])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import DimensionMismatchError, dag, max_abs_diff, random_density
+from .qmat import DimensionMismatchError, _sample_streams, dag, max_abs_diff, random_density
 
 __all__ = [
     "EtaOutOfRangeError",
@@ -97,22 +97,13 @@ def compose(after: QuantumChannel, before: QuantumChannel) -> QuantumChannel:
 
 
 def complementary_output(eta: float, rho) -> np.ndarray:
-    """State handed to the environment by the correlated damping channel.
-
-    The channel has two Kraus directions, so the environment is
-    effectively two dimensional; its state [tr(B_i rho B_j^dag)]_ij is
-    embedded in a two-qubit environment on the {|00>, |11>} block.
-    """
-    eta = _check_eta(eta)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise DimensionMismatchError(f"expected a 4x4 state, got shape {rho.shape}")
-    ks = fc_channel(eta).kraus
-    env = np.zeros((4, 4), dtype=complex)
-    for i, ki in enumerate(ks):
-        for j, kj in enumerate(ks):
-            env[_ENV_INDEX[i], _ENV_INDEX[j]] = np.trace(ki @ rho @ dag(kj))
-    return env
+    """State handed to the environment by the correlated damping channel, on one
+    matrix or each of a (..., 4, 4) stack: the complementary channel, whose Kraus
+    operators F_a[i, :] = B_i[a, :] turn the channel's two Kraus directions i
+    into the environment states |00> and |11>."""
+    ops = np.zeros((4, 4, 4), dtype=complex)
+    ops[:, _ENV_INDEX, :] = np.stack(fc_channel(eta).kraus, axis=1)
+    return apply(QuantumChannel(tuple(ops), 4, 4), rho)
 
 
 def _corner_collapse_channel() -> QuantumChannel:
@@ -148,11 +139,8 @@ def degrading_map(eta: float) -> QuantumChannel:
 
 def check_composition(n_samples: int = 100, seed: int = 0) -> float:
     """Max deviation of fc(eta1*eta2) from fc(eta2) after fc(eta1) on random states."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
     worst = 0.0
-    for i in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+    for _, rng in _sample_streams(n_samples, seed):
         eta1 = float(rng.uniform())
         eta2 = float(rng.uniform())
         rho = random_density(4, rng)

@@ -35,7 +35,7 @@ _ETA_SLACK = 1e-9
 # time (about 0.6 s for the whole process on a 2-CPU machine), not its memory
 MAX_SAMPLES = 1_000_000
 # most samples each suite may draw: the other suites loop in Python per sample, and each is
-# capped where it runs in about 60 s on a 2-CPU machine; all takes the smallest cap of its suites
+# capped where it runs in about 50 s on a 2-CPU machine; all takes the smallest cap of its suites
 SUITE_MAX_SAMPLES = {
     "covariance": 10_000,
     "degradability": 20_000,
@@ -258,17 +258,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         ok &= _emit("degradability", dev < DEVIATION_TOL, dev)
 
+    def worst(index: int, eta: float) -> str:
+        return f" seed={args.seed} index={index} eta={_fmt(eta)}"
+
     if "inequalities" in suites:
         split = capacities.verify_state_splitting_inequality(*samples, seed=args.seed)
-        worst = f" seed={args.seed} index={split.worst_index} eta={_fmt(split.worst_eta)}"
-        ok &= _emit("state_splitting", split.passed, split.min_margin, worst)
+        ok &= _emit("state_splitting", split.passed, split.min_margin, worst(split.worst_index, split.worst_eta))
         pair = capacities.verify_entangled_pair_inequality()
         ok &= _emit("entangled_pair", pair.passed, pair.min_margin)
 
     if "symmetrization" in suites:
         chain = capacities.verify_symmetrization_chain(*samples, seed=args.seed)
-        ok &= _emit("symmetrization_chain", chain.chain_passed, min(chain.min_step_margins.values()))
-        ok &= _emit("separable_gain", chain.gain_passed, chain.min_separable_gain)
+        chain_margin = min(chain.min_step_margins.values())
+        ok &= _emit("symmetrization_chain", chain.chain_passed, chain_margin, worst(*chain.worst_chain_sample))
+        ok &= _emit("separable_gain", chain.gain_passed, chain.min_separable_gain, worst(*chain.worst_gain_sample))
 
     if "composition" in suites:
         dev = check_composition(*samples, seed=args.seed)

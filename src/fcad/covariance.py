@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import apply, complementary_output, degrading_map, fc_channel
-from .qmat import max_abs_diff, random_density
+from .qmat import _sample_streams, max_abs_diff, random_density
 
 __all__ = [
     "SymmetryOp",
@@ -45,13 +45,11 @@ def symmetry_ops() -> tuple[SymmetryOp, ...]:
 
 def check_covariance(eta: float, op: SymmetryOp, n_samples: int = 100, seed: int = 0) -> float:
     """Max deviation of E(U rho U) from U E(rho) U over random mixed states."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
     ch = fc_channel(eta)
     u = op.matrix
     worst = 0.0
-    for i in range(n_samples):
-        rho = random_density(4, np.random.SeedSequence([seed, i]))
+    for _, rng in _sample_streams(n_samples, seed):
+        rho = random_density(4, rng)
         worst = max(worst, max_abs_diff(apply(ch, u @ rho @ u), u @ apply(ch, rho) @ u))
     return worst
 
@@ -61,13 +59,11 @@ def check_degradability(eta: float, n_samples: int = 100, seed: int = 0) -> floa
 
     Only defined for eta >= 1/2.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
     dmap = degrading_map(eta)
     ch = fc_channel(eta)
     worst = 0.0
-    for i in range(n_samples):
-        rho = random_density(4, np.random.SeedSequence([seed, i]))
+    for _, rng in _sample_streams(n_samples, seed):
+        rho = random_density(4, rng)
         degraded = apply(dmap, apply(ch, rho))
         worst = max(worst, max_abs_diff(degraded, complementary_output(eta, rho)))
     return worst

@@ -19,7 +19,6 @@ __all__ = [
     "hermitian_eigenvalues",
     "max_abs_diff",
     "outer",
-    "partial_trace",
     "purify",
     "random_density",
     "random_pure",
@@ -103,32 +102,6 @@ def density_eigenvalues(rho) -> np.ndarray:
     return np.clip(eigs, 0.0, 1.0)
 
 
-def partial_trace(rho, dims, keep) -> np.ndarray:
-    """Reduced matrix over the subsystems listed in ``keep``.
-
-    ``dims`` lists the subsystem dimensions in tensor order; kept
-    subsystems stay in their original order.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    dims = [int(d) for d in dims]
-    total = int(np.prod(dims))
-    if rho.ndim != 2 or rho.shape != (total, total):
-        raise DimensionMismatchError(
-            f"matrix shape {rho.shape} does not match subsystem dims {dims}"
-        )
-    keep = sorted(set(int(k) for k in keep))
-    if not keep or any(k < 0 or k >= len(dims) for k in keep):
-        raise DimensionMismatchError(f"invalid subsystem selection {keep} for dims {dims}")
-    tensor = rho.reshape(dims + dims)
-    remaining = list(range(len(dims)))
-    for sub in sorted(set(range(len(dims))) - set(keep), reverse=True):
-        axis = remaining.index(sub)
-        tensor = np.trace(tensor, axis1=axis, axis2=axis + len(remaining))
-        remaining.pop(axis)
-    kept_dim = int(np.prod([dims[k] for k in keep]))
-    return tensor.reshape(kept_dim, kept_dim)
-
-
 def purify(rho) -> np.ndarray:
     """A pure state on (reference x system) whose system marginal is rho.
 
@@ -164,3 +137,13 @@ def random_density(dim: int, seed) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ dag(g)
     return rho / np.trace(rho).real
+
+
+def _sample_streams(n_samples: int, seed: int, first: int = 0, chunk: int = 1):
+    """The one sampling scheme of every randomized verifier: (index, generator on the child stream
+    SeedSequence([seed, index])) for index = first, first + 1, ..., one per ``chunk`` samples, so a
+    sample replays from its seed and index alone."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
+    n_streams = -(-n_samples // chunk)
+    return ((i, np.random.default_rng(np.random.SeedSequence([seed, i]))) for i in range(first, first + n_streams))

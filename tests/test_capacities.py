@@ -296,17 +296,23 @@ class TestInequalityVerifiers:
          3 * capacities._SPLIT_CHUNK + 7],
     )
     def test_state_splitting_chunks_match_one_draw(self, n_samples, seed):
-        """The chunked scan reads the same stream as one draw of every sample, to the last bit."""
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((n_samples, 4))
-        norm2 = np.sum(g * g, axis=1)
-        a2 = g[:, 0] ** 2 / norm2
-        b2 = (g[:, 1] ** 2 + g[:, 2] ** 2) / (2.0 * norm2)
-        d2 = g[:, 3] ** 2 / norm2
-        eta = rng.uniform(0.0, 1.0, n_samples)
+        """Each chunk is one draw of its normals, then its etas, from its own child stream, and the
+        boundary etas follow chunk 0's etas; the scan reads that to the last bit."""
+        chunk = capacities._SPLIT_CHUNK
+        a2, b2, d2, eta = [], [], [], []
+        for c, start in enumerate(range(0, n_samples, chunk)):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, c]))
+            g = rng.standard_normal((min(chunk, n_samples - start), 4))
+            norm2 = np.sum(g * g, axis=1)
+            a2.append(g[:, 0] ** 2 / norm2)
+            b2.append((g[:, 1] ** 2 + g[:, 2] ** 2) / (2.0 * norm2))
+            d2.append(g[:, 3] ** 2 / norm2)
+            eta.append(rng.uniform(0.0, 1.0, len(g)))
+            if c == 0:
+                n_edge = min(n_samples, 1000)
+                eta_edge = rng.uniform(0.0, 1.0, n_edge)
+        a2, b2, d2, eta = (np.concatenate(x) for x in (a2, b2, d2, eta))
         margins = capacities._splitting_margin(a2, b2, d2, eta)
-        n_edge = min(n_samples, 1000)
-        eta_edge = rng.uniform(0.0, 1.0, n_edge)
         a2, b2, d2 = a2[:n_edge], b2[:n_edge], d2[:n_edge]
         edge_margins = [
             capacities._splitting_margin(a2, b2, d2, 1.0),
@@ -332,22 +338,19 @@ class TestInequalityVerifiers:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
-    def test_state_splitting_needs_a_sample(self):
-        with pytest.raises(ValueError, match="n_samples"):
-            verify_state_splitting_inequality(0)
-
     @pytest.mark.parametrize("n", [0, -3])
     @pytest.mark.parametrize(
-        "check, name",
+        "check",
         [
-            pytest.param(lambda n: check_covariance(0.5, symmetry_ops()[0], n), "n_samples", id="covariance"),
-            pytest.param(lambda n: check_degradability(0.7, n), "n_samples", id="degradability"),
-            pytest.param(check_composition, "n_samples", id="composition"),
-            pytest.param(verify_symmetrization_chain, "n_ensembles", id="symmetrization"),
+            pytest.param(lambda n: check_covariance(0.5, symmetry_ops()[0], n), id="covariance"),
+            pytest.param(lambda n: check_degradability(0.7, n), id="degradability"),
+            pytest.param(check_composition, id="composition"),
+            pytest.param(verify_symmetrization_chain, id="symmetrization"),
+            pytest.param(verify_state_splitting_inequality, id="state_splitting"),
         ],
     )
-    def test_samplers_need_a_sample(self, check, name, n):
-        with pytest.raises(ValueError, match=name):
+    def test_samplers_need_a_sample(self, check, n):
+        with pytest.raises(ValueError, match=f"^n_samples must be positive, got {n}$"):
             check(n)
 
     def test_entangled_pair(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bell_phi_plus
+from conftest import bell_phi_plus, partial_trace
 from fcad.channels import (
     EtaOutOfRangeError,
     QuantumChannel,
@@ -21,7 +21,6 @@ from fcad.qmat import (
     hermitian_eigenvalues,
     max_abs_diff,
     outer,
-    partial_trace,
     random_density,
     random_pure,
 )
@@ -137,6 +136,14 @@ class TestComplementaryOutput:
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
             complementary_output(0.5, np.eye(2) / 2)
+
+    def test_stack_matches_members(self):
+        """A (..., 4, 4) stack gives what each member gives alone."""
+        stack = np.array([random_density(4, np.random.SeedSequence([57, i])) for i in range(6)]).reshape(2, 3, 4, 4)
+        out = complementary_output(0.6, stack)
+        assert out.shape == (2, 3, 4, 4)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_allclose(out[idx], complementary_output(0.6, stack[idx]), rtol=0, atol=1e-15)
 
 
 class TestDegradingMap:

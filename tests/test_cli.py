@@ -3,6 +3,7 @@ import math
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -234,6 +235,11 @@ def assert_usage_error(argv, capsys, message):
     assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
 
+def child_stream(tokens: dict[str, str]) -> np.random.Generator:
+    """The generator a verify line's seed= and index= tokens name."""
+    return np.random.default_rng(np.random.SeedSequence([int(tokens["seed"]), int(tokens["index"])]))
+
+
 def assert_reports(out: str, *names: str) -> None:
     assert out == "".join(VERIFY_REPORTS[name] for name in names)
 
@@ -300,6 +306,23 @@ class TestVerify:
         report = capacities.verify_state_splitting_inequality(3000, seed=int(tokens["seed"]))
         assert int(tokens["index"]) == report.worst_index
         assert float(tokens["eta"]) == pytest.approx(report.worst_eta, rel=1e-8)
+
+    def test_worst_symmetrization_samples_replay(self, capsys):
+        """Each symmetrization line names a child stream of its seed that, drawn alone, gives the line's
+        margin and eta."""
+        assert main(["verify", "symmetrization", "--samples", "12", "--seed", "5"]) == 0
+        chain, gain = (dict(t.split("=") for t in line.split()[3:]) for line in capsys.readouterr().out.splitlines())
+        eta, steps = capacities._chain_sample(child_stream(chain))
+        assert format(min(steps.values()), ".3g") == chain["margin"]
+        assert float(chain["eta"]) == pytest.approx(eta, rel=1e-8)
+        eta, margin = capacities._gain_sample(child_stream(gain))
+        assert format(margin, ".3g") == gain["margin"]
+        assert float(gain["eta"]) == pytest.approx(eta, rel=1e-8)
+
+    def test_all_matches_pinned_output(self, capsys):
+        """verify all at its default sizes, pinned to tests/data/verify_all.txt."""
+        assert main(["verify", "all"]) == 0
+        assert capsys.readouterr().out == (DATA / "verify_all.txt").read_text()
 
     def test_unknown_suite_rejected(self, capsys):
         assert_usage_error(["verify", "nonsense"], capsys, "argument suite: invalid choice")

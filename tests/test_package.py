@@ -14,8 +14,9 @@ def test_package_exports_each_module_all(module):
 
 
 def test_removed_names_are_gone():
-    assert not hasattr(fcad, "kron")
-    assert not hasattr(qmat, "kron")
+    for name in ("kron", "partial_trace"):
+        assert not hasattr(fcad, name)
+        assert not hasattr(qmat, name)
     for name in ("check_settings", "MIN_COARSE_STEP"):
         assert not hasattr(fcad, name)
         assert not hasattr(optimizer, name)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bell_phi_plus, output_eigenvalues_closed_form
+from conftest import bell_phi_plus, output_eigenvalues_closed_form, partial_trace
 from fcad.channels import apply, fc_channel
 from fcad.qmat import (
     DimensionMismatchError,
@@ -16,7 +16,6 @@ from fcad.qmat import (
     hermitian_eigenvalues,
     max_abs_diff,
     outer,
-    partial_trace,
     purify,
     random_density,
     random_pure,
