@@ -46,44 +46,45 @@ def _check_eta(eta: float) -> float:
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """A completely positive trace-preserving map in Kraus form."""
+    """A completely positive trace-preserving map as one (k, d_out, d_in) array of Kraus operators."""
 
-    kraus: tuple[np.ndarray, ...]
-    dim_in: int
-    dim_out: int
+    kraus: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        object.__setattr__(self, "kraus", ops)
-        for k in ops:
-            if k.shape != (self.dim_out, self.dim_in):
-                raise DimensionMismatchError(
-                    f"Kraus operator shape {k.shape} does not match "
-                    f"({self.dim_out}, {self.dim_in})"
-                )
-        acc = sum((dag(k) @ k for k in ops), np.zeros((self.dim_in, self.dim_in)))
+        kraus = np.asarray(self.kraus, dtype=complex)
+        if kraus.ndim != 3:
+            raise DimensionMismatchError(f"Kraus array must have shape (k, d_out, d_in), got {kraus.shape}")
+        object.__setattr__(self, "kraus", kraus)
         # written so that a NaN entry fails it
-        if not (max_abs_diff(acc, np.eye(self.dim_in)) <= COMPLETENESS_TOL):
+        if not (max_abs_diff((dag(kraus) @ kraus).sum(axis=0), np.eye(self.dim_in)) <= COMPLETENESS_TOL):
             raise ValueError("Kraus operators do not satisfy the completeness relation")
+
+    @property
+    def dim_in(self) -> int:
+        return self.kraus.shape[2]
+
+    @property
+    def dim_out(self) -> int:
+        return self.kraus.shape[1]
 
 
 def fc_channel(eta: float) -> QuantumChannel:
     """Fully correlated two-qubit amplitude damping: only |11> decays."""
     eta = _check_eta(eta)
-    b0 = np.diag([1.0, 1.0, 1.0, np.sqrt(eta)]).astype(complex)
-    b1 = np.zeros((4, 4), dtype=complex)
-    b1[0, 3] = np.sqrt(1.0 - eta)
-    return QuantumChannel((b0, b1), 4, 4)
+    kraus = np.zeros((2, 4, 4), dtype=complex)
+    kraus[0] = np.diag([1.0, 1.0, 1.0, np.sqrt(eta)])
+    kraus[1, 0, 3] = np.sqrt(1.0 - eta)
+    return QuantumChannel(kraus)
 
 
 def apply(ch: QuantumChannel, rho) -> np.ndarray:
-    """Channel action sum_i K_i rho K_i^dag, on one matrix or each of a (..., d, d) stack."""
+    """Channel action sum_k K_k rho K_k^dag, on one matrix or each of a (..., d, d) stack."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (ch.dim_in, ch.dim_in):
         raise DimensionMismatchError(
             f"state shape {rho.shape} does not match channel input dimension {ch.dim_in}"
         )
-    return sum(k @ rho @ dag(k) for k in ch.kraus)
+    return (ch.kraus @ rho[..., None, :, :] @ dag(ch.kraus)).sum(axis=-3)
 
 
 def compose(after: QuantumChannel, before: QuantumChannel) -> QuantumChannel:
@@ -92,8 +93,7 @@ def compose(after: QuantumChannel, before: QuantumChannel) -> QuantumChannel:
         raise DimensionMismatchError(
             f"cannot compose: inner output dim {before.dim_out} != outer input dim {after.dim_in}"
         )
-    ops = tuple(ka @ kb for ka in after.kraus for kb in before.kraus)
-    return QuantumChannel(ops, before.dim_in, after.dim_out)
+    return QuantumChannel((after.kraus[:, None] @ before.kraus[None]).reshape(-1, after.dim_out, before.dim_in))
 
 
 def complementary_output(eta: float, rho) -> np.ndarray:
@@ -102,8 +102,8 @@ def complementary_output(eta: float, rho) -> np.ndarray:
     operators F_a[i, :] = B_i[a, :] turn the channel's two Kraus directions i
     into the environment states |00> and |11>."""
     ops = np.zeros((4, 4, 4), dtype=complex)
-    ops[:, _ENV_INDEX, :] = np.stack(fc_channel(eta).kraus, axis=1)
-    return apply(QuantumChannel(tuple(ops), 4, 4), rho)
+    ops[:, _ENV_INDEX, :] = fc_channel(eta).kraus.transpose(1, 0, 2)
+    return apply(QuantumChannel(ops), rho)
 
 
 def _corner_collapse_channel() -> QuantumChannel:
@@ -115,12 +115,10 @@ def _corner_collapse_channel() -> QuantumChannel:
     in |0>, record the excitation parity on the first, swap the system with
     the other two when it is odd, then discard the ancillas.
     """
-    keep = np.diag([1.0, 0.0, 0.0, 1.0])
-    from_01 = np.zeros((4, 4))
-    from_01[0, 1] = 1.0
-    from_10 = np.zeros((4, 4))
-    from_10[0, 2] = 1.0
-    return QuantumChannel((keep, from_01, from_10), 4, 4)
+    kraus = np.zeros((3, 4, 4))
+    kraus[0] = np.diag([1.0, 0.0, 0.0, 1.0])
+    kraus[1, 0, 1] = kraus[2, 0, 2] = 1.0
+    return QuantumChannel(kraus)
 
 
 def degrading_map(eta: float) -> QuantumChannel:

@@ -2,14 +2,17 @@
 and the numerical verification suites.
 
 Exit codes: 0 all good, 1 a verification check failed, 2 configuration
-or I/O error, including settings the library rejects with ValueError.
+or I/O error, including settings the library rejects with ValueError and
+a full stdout; a stdout closed by its reader exits 2 without a message.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
+import stat
 import sys
 from dataclasses import dataclass
 from operator import attrgetter
@@ -43,6 +46,8 @@ SUITE_MAX_SAMPLES = {
     "symmetrization": 8_000,
     "composition": 150_000,
 }
+# largest config file read: a config is a few short lines, and the bound keeps a huge file out of memory
+MAX_CONFIG_BYTES = 64 * 1024
 # largest deviation the covariance, degradability and composition checks pass
 DEVIATION_TOL = 1e-12
 # largest deviation the Kraus commutation relations pass
@@ -124,6 +129,9 @@ _FIELDS = {
 
 def _load_config_file(path: str) -> dict[str, str]:
     try:
+        info = os.stat(path)  # before opening, which on a FIFO would wait for a writer
+        if not stat.S_ISREG(info.st_mode) or info.st_size > MAX_CONFIG_BYTES:
+            raise InvalidConfigError(f"config file {path} is not a regular file of at most {MAX_CONFIG_BYTES} bytes")
         text = Path(path).read_text()
     except OSError as exc:
         raise InvalidConfigError(f"cannot read config file {path}: {exc}") from exc
@@ -331,10 +339,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except ValueError as exc:  # InvalidConfigError, or library argument checks
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # the only one left is a stdout write: closed by its reader, or full
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit cannot raise
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

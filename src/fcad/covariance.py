@@ -18,9 +18,6 @@ __all__ = [
     "symmetry_ops",
 ]
 
-_SZ = np.diag([1.0, -1.0]).astype(complex)
-_I2 = np.eye(2, dtype=complex)
-
 
 @dataclass(frozen=True)
 class SymmetryOp:
@@ -30,17 +27,17 @@ class SymmetryOp:
     matrix: np.ndarray
 
 
+_SZ = np.diag([1.0, -1.0])
+_I2 = np.eye(2)
+# built once and read-only, so every caller shares them; SWAP is a row permutation of the identity
+_MATRICES = np.array([np.kron(_SZ, _I2), np.kron(_I2, _SZ), np.kron(_SZ, _SZ), np.eye(4)[[0, 2, 1, 3]]], dtype=complex)
+_MATRICES.flags.writeable = False
+_SYMMETRY_OPS = tuple(SymmetryOp(name, m) for name, m in zip(("R1", "R2", "R3", "SWAP"), _MATRICES))
+
+
 def symmetry_ops() -> tuple[SymmetryOp, ...]:
-    """The three sign flips and the qubit exchange, as 4x4 unitaries."""
-    swap = np.zeros((4, 4), dtype=complex)
-    for i, j in ((0, 0), (1, 2), (2, 1), (3, 3)):
-        swap[i, j] = 1.0
-    return (
-        SymmetryOp("R1", np.kron(_SZ, _I2)),
-        SymmetryOp("R2", np.kron(_I2, _SZ)),
-        SymmetryOp("R3", np.kron(_SZ, _SZ)),
-        SymmetryOp("SWAP", swap),
-    )
+    """The three sign flips and the qubit exchange, as read-only 4x4 unitaries."""
+    return _SYMMETRY_OPS
 
 
 def check_covariance(eta: float, op: SymmetryOp, n_samples: int = 100, seed: int = 0) -> float:
@@ -77,18 +74,13 @@ def check_kraus_commutation() -> dict[str, float]:
     operator commutes with the double sign flip and the exchange but
     anticommutes with the single-qubit sign flips.
     """
+    b0, b1 = np.stack([fc_channel(eta).kraus for eta in (0.0, 0.25, 0.5, 0.75, 1.0)], axis=1)
     devs: dict[str, float] = {}
-
-    def record(key: str, value: float) -> None:
-        devs[key] = max(devs.get(key, 0.0), value)
-
-    for eta in (0.0, 0.25, 0.5, 0.75, 1.0):
-        b0, b1 = fc_channel(eta).kraus
-        for op in symmetry_ops():
-            u = op.matrix
-            record(f"B0_commutes_{op.name}", max_abs_diff(b0 @ u, u @ b0))
-            if op.name in ("R1", "R2"):
-                record(f"B1_anticommutes_{op.name}", max_abs_diff(u @ b1, -(b1 @ u)))
-            else:
-                record(f"B1_commutes_{op.name}", max_abs_diff(u @ b1, b1 @ u))
+    for op in symmetry_ops():
+        u = op.matrix
+        devs[f"B0_commutes_{op.name}"] = max_abs_diff(b0 @ u, u @ b0)
+        if op.name in ("R1", "R2"):
+            devs[f"B1_anticommutes_{op.name}"] = max_abs_diff(u @ b1, -(b1 @ u))
+        else:
+            devs[f"B1_commutes_{op.name}"] = max_abs_diff(u @ b1, b1 @ u)
     return devs

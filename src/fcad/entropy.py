@@ -108,8 +108,7 @@ def entropy_exchange_purified(eta: float, rho) -> float:
     purification through the channel, and takes the global entropy.
     """
     psi = purify(np.asarray(rho, dtype=complex))
-    ops = tuple(np.kron(np.eye(4, dtype=complex), k) for k in fc_channel(eta).kraus)
-    extended = QuantumChannel(ops, 16, 16)
+    extended = QuantumChannel(np.kron(np.eye(4), fc_channel(eta).kraus))
     return vn_entropy(apply(extended, outer(psi)))
 
 

@@ -111,13 +111,8 @@ def purify(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     density_eigenvalues(rho)
     w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, 1.0)
-    d = rho.shape[0]
-    psi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        if w[i] > 0.0:
-            psi += np.sqrt(w[i]) * np.kron(basis_state(d, i), v[:, i])
-    return psi
+    # row i is sqrt(w_i) times eigenvector i, paired with the reference state |i>
+    return (np.sqrt(np.clip(w, 0.0, 1.0))[:, None] * v.T).reshape(-1)
 
 
 def random_pure(dim: int, seed) -> np.ndarray:

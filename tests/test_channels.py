@@ -94,7 +94,7 @@ class TestApplyAndCompose:
 
     def test_compose_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
-            compose(QuantumChannel((np.eye(2),), 2, 2), fc_channel(0.5))
+            compose(QuantumChannel(np.eye(2)[None]), fc_channel(0.5))
 
     def test_trace_preservation_all_channels(self):
         channels = [fc_channel(0.3), degrading_map(0.7)]
@@ -105,7 +105,29 @@ class TestApplyAndCompose:
 
     def test_completeness_validation(self):
         with pytest.raises(ValueError):
-            QuantumChannel((np.eye(2) * 0.5,), 2, 2)
+            QuantumChannel(np.eye(2)[None] * 0.5)
+
+    @pytest.mark.parametrize("kraus", [np.eye(2), np.eye(2)[None, None], np.ones(3)])
+    def test_kraus_array_must_be_3d(self, kraus):
+        with pytest.raises(DimensionMismatchError, match="shape"):
+            QuantumChannel(kraus)
+
+    def test_dimensions_read_off_the_shape(self):
+        """A (1, 4, 2) isometry maps qubit states into 4 dimensions."""
+        embed = np.zeros((1, 4, 2))
+        embed[0, 0, 0] = embed[0, 3, 1] = 1.0
+        ch = QuantumChannel(embed)
+        assert (ch.dim_in, ch.dim_out) == (2, 4)
+        out = apply(ch, np.array([[0.25, 0.5], [0.5, 0.75]]))
+        np.testing.assert_array_equal(out, [[0.25, 0, 0, 0.5], [0, 0, 0, 0], [0, 0, 0, 0], [0.5, 0, 0, 0.75]])
+        with pytest.raises(DimensionMismatchError):
+            apply(ch, np.eye(4) / 4)
+
+    def test_compose_is_every_pair_of_kraus_products(self):
+        """compose's Kraus array is K_a L_b for a in after, b in before, in that order."""
+        after, before = fc_channel(0.3), _corner_collapse_channel()
+        expected = [ka @ kb for ka in after.kraus for kb in before.kraus]
+        np.testing.assert_array_equal(compose(after, before).kraus, expected)
 
 
 class TestComplementaryOutput:

@@ -1,5 +1,9 @@
 import io
 import math
+import os
+import resource
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,12 +17,37 @@ from fcad.cli import InvalidConfigError, SweepConfig, main
 
 LOG2_3 = math.log2(3.0)
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 # CHECK name -> its line in the pinned reduced-sample verify reports
 VERIFY_REPORTS = {
     line.split()[1]: line for line in (DATA / "verify_reports.txt").read_text().splitlines(keepends=True)
 }
 # any float, NaN, infinities, subnormals and negatives included
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+def run_fcad(argv, stdout=subprocess.PIPE, unbuffered=False):
+    """fcad in a child interpreter, under a 2 GiB address-space limit, so that an unbounded read fails
+    fast instead of taking the machine's memory; returns the child still running."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "fcad.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+    )
+
+
+def finish(child) -> tuple[int, str]:
+    """Exit code and stderr of a child from run_fcad; a child still running after 60 s is killed."""
+    try:
+        _, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        child.kill()
+        child.communicate()
+        raise
+    return child.returncode, err.decode()
 
 
 def read_rows(path):
@@ -141,6 +170,30 @@ class TestSweep:
 
     def test_missing_config_file_is_config_error(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 2
+
+    def test_oversize_config_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("# padding\n" * (cli.MAX_CONFIG_BYTES // 10) + "eta_step = 0.5\n")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config file {cfg} is not a regular file of at most {cli.MAX_CONFIG_BYTES} bytes\n"
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_device_config_is_config_error(self):
+        """An endless device is refused before any byte is read."""
+        assert finish(run_fcad(["sweep", "--config", "/dev/zero"])) == (
+            2, f"error: config file /dev/zero is not a regular file of at most {cli.MAX_CONFIG_BYTES} bytes\n"
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_config_is_config_error(self, tmp_path):
+        """A named pipe is refused without opening it, which would wait for a writer."""
+        fifo = tmp_path / "config.fifo"
+        os.mkfifo(fifo)
+        assert finish(run_fcad(["sweep", "--config", str(fifo)])) == (
+            2, f"error: config file {fifo} is not a regular file of at most {cli.MAX_CONFIG_BYTES} bytes\n"
+        )
 
 
 class TestSweepConfig:
@@ -326,6 +379,23 @@ class TestVerify:
 
     def test_unknown_suite_rejected(self, capsys):
         assert_usage_error(["verify", "nonsense"], capsys, "argument suite: invalid choice")
+
+
+class TestClosedOrFullStdout:
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_exits_quietly(self, unbuffered):
+        """A reader that stops reading ends the run with exit code 2 and nothing on stderr, whether the
+        first failed write is a print or the final flush."""
+        child = run_fcad(["verify", "composition", "--samples", "5"], unbuffered=unbuffered)
+        child.stdout.close()
+        assert finish(child) == (2, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_is_one_error_line(self):
+        with open("/dev/full", "w") as full:
+            code, err = finish(run_fcad(["verify", "composition", "--samples", "5"], stdout=full))
+        assert code == 2
+        assert err == "error: cannot write output: [Errno 28] No space left on device\n"
 
 
 # the search settings and verify tolerances are fixed; no flag sets them

@@ -27,6 +27,14 @@ class TestSymmetryOps:
         swap = symmetry_ops()[3].matrix
         np.testing.assert_allclose(swap @ basis_state(4, 1), basis_state(4, 2))
 
+    def test_built_once_and_read_only(self):
+        first, second = symmetry_ops(), symmetry_ops()
+        for a, b in zip(first, second):
+            assert a.matrix is b.matrix
+            assert not a.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                a.matrix[0, 0] = 2.0
+
     def test_involutive_unitaries(self):
         for op in symmetry_ops():
             u = op.matrix
@@ -59,6 +67,12 @@ class TestDegradability:
 
 
 class TestKrausCommutation:
+    def test_relation_names_and_order(self):
+        assert list(check_kraus_commutation()) == [
+            "B0_commutes_R1", "B1_anticommutes_R1", "B0_commutes_R2", "B1_anticommutes_R2",
+            "B0_commutes_R3", "B1_commutes_R3", "B0_commutes_SWAP", "B1_commutes_SWAP",
+        ]
+
     def test_all_relations_tight(self):
         devs = check_kraus_commutation()
         assert devs, "expected at least one relation"

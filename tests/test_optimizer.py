@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcad.capacities import chi_b_value, q_value
+from fcad.capacities import c1, chi_b_value, q_value
 from fcad.entropy import h2, xlog2
 from fcad import optimizer
 from fcad.optimizer import COARSE_STEP, SimplexPoint, maximize_1d, maximize_simplex, scan_simplex
@@ -120,12 +120,16 @@ class TestMaximizeSimplex:
 
     def test_agrees_with_flat_grid_oracle(self):
         """Coarse-and-refine matches the exhaustive 1e-4 grid in value."""
-        rng = np.random.default_rng(2024)
-        for eta in rng.uniform(0.0, 1.0, 5):
-            eta = float(eta)
-            fast = maximize_simplex(*objectives(chi_b_value, eta))
-            flat = scan_simplex(lambda a, d: chi_b_value(a, d, eta), step=1e-4)
-            assert abs(fast.value - flat.value) < 1e-4
+        eta = float(np.random.default_rng(2024).uniform())
+        fast = maximize_simplex(*objectives(chi_b_value, eta))
+        flat = scan_simplex(lambda a, d: chi_b_value(a, d, eta), step=1e-4)
+        assert abs(fast.value - flat.value) < 1e-4
+
+    def test_agrees_with_closed_form_c1(self):
+        """On chi_b, the 2-D search reaches the closed-form C1 = log2(2 + 2^C_ad1) at every eta."""
+        for eta in np.linspace(0.0, 1.0, 101):
+            fast = maximize_simplex(*objectives(chi_b_value, float(eta)))
+            assert abs(fast.value - c1(float(eta)).value) < 1e-12, eta
 
 
 class TestMaximize1d:

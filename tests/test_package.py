@@ -27,7 +27,7 @@ def test_removed_names_are_gone():
     [
         (lambda: optimizer.SimplexPoint(math.nan, 0.5, 0.0), ValueError, "alpha must be nonnegative"),
         (lambda: optimizer.SimplexPoint(0.5, 0.25, math.nan), ValueError, "delta must be nonnegative"),
-        (lambda: channels.QuantumChannel((np.full((2, 2), np.nan),), 2, 2), ValueError, "completeness"),
+        (lambda: channels.QuantumChannel(np.full((1, 2, 2), np.nan)), ValueError, "completeness"),
         (lambda: entropy.Ensemble([1.0], [[np.nan, 0.0, 0.0, 0.0]]), ValueError, "normalized"),
         (lambda: entropy.Ensemble([np.nan], [[1.0, 0.0, 0.0, 0.0]]), ValueError, "nonnegative"),
         (lambda: qmat.density_eigenvalues(np.full((4, 4), np.nan)), qmat.NotDensityMatrixError, "Hermitian"),
